@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
+from itertools import accumulate
 
 from .partitions import Partition, partition_from_diagonal_hooks, validate_hook_set
 
-# Largest s*t for which every intermediate value (entries, row sums, sizes)
-# provably fits in a signed 64-bit integer: |entry| < s*t and the sum of all
-# |entries| is below (s*t)^2 / 4.
+# Input cap on s*t.  All arithmetic is exact Python ints, so the cap is not
+# about overflow: it bounds array size and work, since the array has about
+# s*t/4 entries and the largest core about (s*t)^2/24 cells.
 _MAX_ST_64BIT = 2**31
 
 
@@ -41,7 +40,7 @@ class CoreParams:
         if math.gcd(s, t) != 1:
             raise ValueError(f"not coprime: ({s}, {t})")
         if s * t > _MAX_ST_64BIT:
-            raise ValueError(f"s*t = {s * t} exceeds the exact 64-bit range")
+            raise ValueError(f"s*t = {s * t} is over the supported maximum of 2**31")
         assert s % 2 == 1 or t % 2 == 1
 
     @property
@@ -70,12 +69,11 @@ class CoreArray:
     """
 
     params: CoreParams
-    entries: np.ndarray = field(repr=False)
+    entries: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
-        a11 = int(self.entries[0, 0])
-        amn = int(self.entries[-1, -1])
+        a11 = self.entries[0][0]
+        amn = self.entries[-1][-1]
         assert a11 == self.params.s * self.params.t - self.params.s - self.params.t
         assert a11 + amn > 0
 
@@ -91,31 +89,30 @@ class CoreArray:
         """Entry at 1-based cell (i, j)."""
         if not (1 <= i <= self.m and 1 <= j <= self.n):
             raise ValueError(f"cell ({i}, {j}) outside the {self.m}x{self.n} array")
-        return int(self.entries[i - 1, j - 1])
+        return self.entries[i - 1][j - 1]
 
-    def row_prefix_sums(self) -> np.ndarray:
-        """(m, n+1) table whose [i, k] entry is the sum of the first k
-        entries of row i; used by the enumeration kernels."""
-        out = np.zeros((self.m, self.n + 1), dtype=np.int64)
-        np.cumsum(self.entries, axis=1, out=out[:, 1:])
-        return out
+    def row_prefix_sums(self) -> tuple[tuple[int, ...], ...]:
+        """(m, n+1) table whose [i][k] entry is the sum of the first k
+        entries of row i; used by the path fold."""
+        return tuple(tuple(accumulate(row, initial=0)) for row in self.entries)
 
     def positive_sum(self) -> int:
         """Sum of the positive entries; equals the largest core size."""
-        return int(self.entries[self.entries > 0].sum())
+        return sum(v for row in self.entries for v in row if v > 0)
 
 
 @lru_cache(maxsize=128)
 def build_array(s: int, t: int) -> CoreArray:
     """Build the signed hook array for a coprime pair (s, t).
 
-    Cached: arrays are immutable (the entries are marked read-only), so the
+    Cached: arrays are immutable (the entries are nested tuples), so the
     same instance is shared by every caller.
     """
     params = CoreParams(s, t)
-    i = np.arange(1, params.m + 1, dtype=np.int64)[:, None]
-    j = np.arange(1, params.n + 1, dtype=np.int64)[None, :]
-    entries = s * t - (2 * j - 1) * s - (2 * i - 1) * t
+    entries = tuple(
+        tuple(s * t - (2 * j - 1) * s - (2 * i - 1) * t for j in range(1, params.n + 1))
+        for i in range(1, params.m + 1)
+    )
     return CoreArray(params, entries)
 
 
@@ -188,15 +185,10 @@ def path_hook_set(path: LatticePath, arr: CoreArray) -> tuple[int, ...]:
             f"path box {path.m}x{path.n} does not match array {arr.m}x{arr.n}"
         )
     hooks = []
-    for i in range(1, arr.m + 1):
-        row_mu = path.mu.row(i)
-        for j in range(1, arr.n + 1):
-            v = int(arr.entries[i - 1, j - 1])
-            if j <= row_mu:
-                if v < 0:
-                    hooks.append(-v)
-            elif v > 0:
-                hooks.append(v)
+    for i, row in enumerate(arr.entries, start=1):
+        k = path.mu.row(i)
+        hooks.extend(-v for v in row[:k] if v < 0)
+        hooks.extend(v for v in row[k:] if v > 0)
     return validate_hook_set(hooks)
 
 
@@ -219,17 +211,16 @@ def path_from_core(p: Partition, params: CoreParams) -> LatticePath:
         raise ValueError(f"not in the bijection image: {p} is not self-conjugate")
     hooks = set(p.diagonal_hooks())
     arr = build_array(params.s, params.t)
-    abs_entries = {abs(int(v)) for v in arr.entries.flat}
+    abs_entries = {abs(v) for row in arr.entries for v in row}
     if not hooks <= abs_entries:
         raise ValueError(
             f"not in the bijection image: hooks {sorted(hooks - abs_entries)} "
             f"do not occur in the ({params.s}, {params.t}) array"
         )
     mu_rows = []
-    for i in range(arr.m):
+    for row in arr.entries:
         above = 0
-        for j in range(arr.n):
-            v = int(arr.entries[i, j])
+        for j, v in enumerate(row):
             is_above = (v not in hooks) if v > 0 else (-v in hooks)
             if is_above:
                 if above != j:
@@ -258,11 +249,7 @@ def core_size_from_path(path: LatticePath, params: CoreParams) -> int:
         raise ValueError(
             f"path box {path.m}x{path.n} does not match array {arr.m}x{arr.n}"
         )
-    above = 0
-    for i in range(1, arr.m + 1):
-        k = path.mu.row(i)
-        if k:
-            above += int(arr.entries[i - 1, :k].sum())
+    above = sum(sum(row[:k]) for row, k in zip(arr.entries, path.mu.rows))
     return params.max_core_size - above
 
 

@@ -25,7 +25,9 @@ from .bijection import (
 )
 from .enumeration import (
     DEFAULT_PATH_BUDGET,
+    check_path_budget,
     coprime_pairs,
+    describe_count,
     enumerated_stats,
     iter_paths,
     report_all_pass,
@@ -41,12 +43,19 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _is_int_list(data) -> bool:
+    # JSON true/false decode to bool, which is an int subclass: refuse them
+    return isinstance(data, list) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in data
+    )
+
+
 def _parse_partition(text: str) -> Partition:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"partition must be a JSON array of integers: {exc}")
-    if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+    if not _is_int_list(data):
         raise ValueError("partition must be a JSON array of integers")
     return Partition(tuple(data))
 
@@ -62,13 +71,13 @@ def _parse_path(text: str, m: int, n: int) -> LatticePath:
             raise ValueError(f"path object is not valid JSON: {exc}")
         if not isinstance(data, dict) or set(data) != {"m", "n", "mu"}:
             raise ValueError('path object must have exactly the keys "m", "n", "mu"')
-        if (data["m"], data["n"]) != (m, n):
+        if not _is_int_list([data["m"], data["n"]]) or (data["m"], data["n"]) != (m, n):
             raise ValueError(
                 f"path box {data['m']}x{data['n']} does not match the "
                 f"{m}x{n} box of (s, t)"
             )
         mu = data["mu"]
-        if not isinstance(mu, list) or not all(isinstance(v, int) for v in mu):
+        if not _is_int_list(mu):
             raise ValueError("path mu must be a JSON array of integers")
         return LatticePath(m, n, Partition(tuple(mu)))
     if text.startswith("["):
@@ -78,8 +87,12 @@ def _parse_path(text: str, m: int, n: int) -> LatticePath:
 
 def _print(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            # a bad --output is a usage error, not a failed check
+            raise ValueError(f"cannot write --output {args.output}: {exc.strerror}")
     else:
         print(text)
 
@@ -88,7 +101,7 @@ def _maybe_announce_budget(args, params: CoreParams) -> None:
     # an explicit budget override states the job size up front
     if getattr(args, "budget", None) is not None:
         expected = math.comb(params.m + params.n, params.m)
-        print(f"expected path count: {expected}", file=sys.stderr)
+        print(f"expected path count: {describe_count(expected)}", file=sys.stderr)
 
 
 def _average_json(stats) -> dict:
@@ -99,7 +112,7 @@ def cmd_stats(args) -> int:
     params = CoreParams(args.s, args.t)
     _maybe_announce_budget(args, params)
     budget = args.budget if args.budget is not None else DEFAULT_PATH_BUDGET
-    stats = enumerated_stats(args.s, args.t, budget=budget, parallel=args.parallel == "on")
+    stats = enumerated_stats(args.s, args.t, budget=budget)
     if args.format == "json":
         _print(
             args,
@@ -146,12 +159,9 @@ def cmd_stats(args) -> int:
 def cmd_enumerate(args) -> int:
     params = CoreParams(args.s, args.t)
     _maybe_announce_budget(args, params)
-    budget = args.budget if args.budget is not None else DEFAULT_PATH_BUDGET
-    expected = math.comb(params.m + params.n, params.m)
-    if expected > budget:
-        raise ValueError(
-            f"enumeration needs {expected} paths, over the budget of {budget}"
-        )
+    check_path_budget(
+        params, args.budget if args.budget is not None else DEFAULT_PATH_BUDGET
+    )
     lines = []
     for path in iter_paths(params.m, params.n):
         core = core_from_path(path, params)
@@ -299,9 +309,7 @@ def cmd_verify(args) -> int:
     params = CoreParams(args.s, args.t)
     _maybe_announce_budget(args, params)
     budget = args.budget if args.budget is not None else DEFAULT_PATH_BUDGET
-    report = verify_pair(
-        args.s, args.t, budget=budget, parallel=args.parallel == "on"
-    )
+    report = verify_pair(args.s, args.t, budget=budget)
     ok = report_all_pass(report)
     if args.format == "json":
         _print(args, _dumps(report))
@@ -324,7 +332,7 @@ def cmd_sweep(args) -> int:
     budget = args.budget if args.budget is not None else DEFAULT_PATH_BUDGET
     reports = []
     for s, t in coprime_pairs(args.max):
-        reports.append(verify_pair(s, t, budget=budget, parallel=args.parallel == "on"))
+        reports.append(verify_pair(s, t, budget=budget))
     ok = all(report_all_pass(r) for r in reports)
     if args.format == "json":
         _print(args, _dumps(reports))
@@ -426,13 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", type=int, required=True)
         p.add_argument("--t", type=int, required=True)
 
-    def add_parallel(p):
-        p.add_argument("--parallel", choices=("on", "off"), default="off")
-
     p = sub.add_parser("stats", help="enumerated count/total/average/max of SC(s,t)")
     add_pair(p)
     add_common(p, DEFAULT_PATH_BUDGET)
-    add_parallel(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("enumerate", help="list every self-conjugate (s,t)-core")
@@ -464,13 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run every identity check for one pair")
     add_pair(p)
     add_common(p, DEFAULT_PATH_BUDGET)
-    add_parallel(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="verify every coprime pair s < t <= --max")
     p.add_argument("--max", type=int, required=True)
     add_common(p, DEFAULT_PATH_BUDGET)
-    add_parallel(p)
     p.set_defaults(func=cmd_sweep)
     # sweep defaults to the CSV row form
     p.set_defaults(format="csv")

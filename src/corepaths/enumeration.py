@@ -2,32 +2,47 @@
 lattice paths, with exact statistics and the identity checks tying them to
 the closed formulas.
 
-Counts, totals and averages are arbitrary-precision (int / Fraction); the
-int64 kernels are only dispatched after proving, in exact arithmetic, that
-no accumulator can overflow.  Statistics folds are associative, so the path
-space may be split into independent strata (by the last row of the
-above-partition, which is constant on contiguous colexicographic ranges)
-and folded in parallel with a deterministic merge.
+Counts, totals and averages are arbitrary-precision Python ints and
+Fractions throughout.  The path fold splits the path space into strata by
+the last row of the above-partition, which is constant on contiguous
+colexicographic ranges, folds each stratum on its own and merges the
+results; each stratum's path count is checked against its binomial.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
-from . import _kernels
 from .bijection import CoreParams, LatticePath, build_array, core_from_path, largest_core
 from .partitions import Partition
 
 DEFAULT_PATH_BUDGET = 10**7
-# Above this many paths a stratum's int64 total could overflow, so the
-# pure big-integer fold takes over (far beyond practical workloads anyway).
-_INT64_SAFE = 2**62
+# Counts with more decimal digits than this are described by their digit
+# count: printing them would flood a message (and past 4300 digits Python
+# refuses to convert them at all).
+_MAX_PRINTED_DIGITS = 100
+
+
+def decimal_digits(n: int) -> int:
+    """Number of decimal digits of |n|, without converting it to a string."""
+    n = abs(n)
+    # 2**(b-1) <= n, so this starts at or below the true count minus one
+    digits = max(1, int((n.bit_length() - 1) * math.log10(2)))
+    while n >= 10**digits:
+        digits += 1
+    return digits
+
+
+def describe_count(n: int) -> str:
+    """n in decimal, or its order of magnitude and digit count when it is
+    too long to print."""
+    digits = decimal_digits(n)
+    if digits > _MAX_PRINTED_DIGITS:
+        return f"at least 10^{digits - 1} ({digits} digits)"
+    return str(n)
 
 
 class PathBudgetError(ValueError):
@@ -37,9 +52,18 @@ class PathBudgetError(ValueError):
         self.required = required
         self.budget = budget
         super().__init__(
-            f"enumeration needs {required} paths, over the budget of {budget}; "
-            "raise the budget to proceed"
+            f"enumeration needs {describe_count(required)} paths, over the budget "
+            f"of {describe_count(budget)}; raise the budget to proceed"
         )
+
+
+def check_path_budget(params: CoreParams, budget: int) -> int:
+    """The path count of the (s, t) box; raises PathBudgetError when it is
+    over ``budget``."""
+    expected = math.comb(params.m + params.n, params.m)
+    if expected > budget:
+        raise PathBudgetError(expected, budget)
+    return expected
 
 
 @dataclass(frozen=True)
@@ -104,8 +128,15 @@ def coprime_pairs(limit: int, low: int = 2) -> list[tuple[int, int]]:
     ]
 
 
-def _fold_stratum_pure(prefix: list[list[int]], n: int, w: int, box_total: int):
-    """Big-integer twin of the kernel stratum fold; same visit order."""
+def _fold_stratum_pure(prefix, n: int, w: int, box_total: int):
+    """Fold size statistics over every path whose above-partition has last
+    row exactly w, visiting them in colexicographic order.
+
+    prefix is the (m, n+1) row-prefix-sum table of the array, box_total the
+    largest core size.  Returns (count, total, best, best_count): the number
+    of paths visited, the exact sum of their core sizes, the maximum size,
+    and how many paths attain it.
+    """
     m = len(prefix)
     mu = [w] * m
     above = sum(prefix[r][w] for r in range(m))
@@ -119,6 +150,8 @@ def _fold_stratum_pure(prefix: list[list[int]], n: int, w: int, box_total: int):
             best, best_count = size, 1
         elif size == best:
             best_count += 1
+        # colexicographic successor keeping the last row fixed: bump the
+        # first bumpable row, reset everything before it to the new value
         moved = False
         for i in range(m - 1):
             cap = n if i == 0 else mu[i - 1]
@@ -135,34 +168,16 @@ def _fold_stratum_pure(prefix: list[list[int]], n: int, w: int, box_total: int):
             return count, total, best, best_count
 
 
-def fold_path_sizes(s: int, t: int, parallel: bool = False) -> FoldResult:
+def fold_path_sizes(s: int, t: int) -> FoldResult:
     """Fold exact size statistics over every path of the (s, t) box."""
     params = CoreParams(s, t)
-    arr = build_array(s, t)
     m, n = params.m, params.n
-    box_total = params.max_core_size
-    prefix64 = arr.row_prefix_sums()
-
-    stratum_counts = [math.comb(m - 1 + n - w, m - 1) for w in range(n + 1)]
-    kernel_ok = all(c * max(box_total, 1) < _INT64_SAFE for c in stratum_counts)
-
-    def run(w: int):
-        if kernel_ok:
-            c, tot, best, bc = _kernels.fold_paths_stratum(
-                prefix64, n, w, box_total
-            )
-            return int(c), int(tot), int(best), int(bc)
-        prefix = [[int(v) for v in row] for row in prefix64]
-        return _fold_stratum_pure(prefix, n, w, box_total)
-
-    if parallel and n > 0:
-        with ThreadPoolExecutor() as pool:
-            parts = list(pool.map(run, range(n + 1)))
-    else:
-        parts = [run(w) for w in range(n + 1)]
-
+    prefix = build_array(s, t).row_prefix_sums()
+    parts = [
+        _fold_stratum_pure(prefix, n, w, params.max_core_size) for w in range(n + 1)
+    ]
     for w, (c, _, _, _) in enumerate(parts):
-        assert c == stratum_counts[w]
+        assert c == math.comb(m - 1 + n - w, m - 1)
     count = sum(p[0] for p in parts)
     total = sum(p[1] for p in parts)
     best = max(p[2] for p in parts)
@@ -174,15 +189,11 @@ def enumerated_stats(
     s: int,
     t: int,
     budget: int = DEFAULT_PATH_BUDGET,
-    parallel: bool = False,
 ) -> CoreStats:
     """Count / total / average / max size of the self-conjugate (s, t)-cores
     by walking every lattice path, with exact arithmetic throughout."""
-    params = CoreParams(s, t)
-    expected = math.comb(params.m + params.n, params.m)
-    if expected > budget:
-        raise PathBudgetError(expected, budget)
-    fold = fold_path_sizes(s, t, parallel=parallel)
+    check_path_budget(CoreParams(s, t), budget)
+    fold = fold_path_sizes(s, t)
     return CoreStats(
         count=fold.count,
         total_size=fold.total,
@@ -208,7 +219,7 @@ def total_size_from_path_counts(s: int, t: int) -> int:
     m, n = params.m, params.n
     f = below_count_table(m, n)
     above_total = sum(
-        int(arr.entries[i, j]) * f[i][j] for i in range(m) for j in range(n)
+        v * c for row, counts in zip(arr.entries, f) for v, c in zip(row, counts)
     )
     return params.max_core_size * math.comb(m + n, m) - above_total
 
@@ -219,7 +230,6 @@ def verify_pair(
     budget: int = DEFAULT_PATH_BUDGET,
     containment_limit: int = 10**5,
     oracle_budget: int | None = None,
-    parallel: bool = False,
 ) -> dict:
     """Cross-check every counting statement for one coprime pair.
 
@@ -230,10 +240,8 @@ def verify_pair(
     """
     params = CoreParams(s, t)
     m, n = params.m, params.n
-    expected = math.comb(m + n, m)
-    if expected > budget:
-        raise PathBudgetError(expected, budget)
-    fold = fold_path_sizes(s, t, parallel=parallel)
+    expected = check_path_budget(params, budget)
+    fold = fold_path_sizes(s, t)
     stats = CoreStats(
         count=fold.count,
         total_size=fold.total,

@@ -157,10 +157,15 @@ def _core_walk(
 
 def cores_within(shape: tuple[int, ...], s: int, t: int) -> list[tuple[int, ...]]:
     """All (s, t)-cores contained in ``shape``, by pruned depth-first search
-    over rows.  Every emitted partition has had each of its hooks checked
-    exactly once, at the moment the hook became final."""
+    over rows.  Every partition the walk emits is filtered through the
+    honest hook test again."""
     shape = tuple(shape)
-    return list(_core_walk(shape, s, t, sum(shape)))
+    found = []
+    for rows in _core_walk(shape, s, t, sum(shape)):
+        p = Partition(rows)
+        if is_t_core(p, s) and is_t_core(p, t):
+            found.append(rows)
+    return found
 
 
 def brute_force_all_cores_count(

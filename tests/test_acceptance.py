@@ -2,8 +2,7 @@
 PASS/FAIL line (visible under pytest -s or -rA) with its runtime.
 
 Every comparison is exact; the only tolerances are the stated wall-clock
-bounds, which hold on the plain interpreter as well as under numba.  Run
-with
+bounds, which hold on the plain interpreter.  Run with
 
     pytest tests/test_acceptance.py -v -s
 """

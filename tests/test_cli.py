@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -55,6 +57,19 @@ def test_stats_budget_announcement_and_guard(capsys):
     code, out, err = run(capsys, "stats", "--s", "8", "--t", "11", "--budget", "200")
     assert code == 0
     assert "expected path count: 126" in err
+
+
+def test_budget_refusal_of_a_count_too_long_to_print(capsys):
+    # C(46843, 20000) has 13881 digits, past Python's 4300-digit int->str
+    # limit; the refusal states its size instead of printing it
+    code, _, err = run(capsys, "stats", "--s", "40000", "--t", "53687")
+    assert code == 2
+    assert "enumeration needs at least 10^13880 (13881 digits) paths" in err
+    code, _, err = run(
+        capsys, "stats", "--s", "40000", "--t", "53687", "--budget", "5"
+    )
+    assert code == 2
+    assert "expected path count: at least 10^13880 (13881 digits)" in err
 
 
 def test_map_worked_example(capsys):
@@ -127,6 +142,24 @@ def test_unmap_rejects_malformed_input(capsys):
     assert "weakly decreasing" in err
 
 
+def test_json_booleans_are_not_integers(capsys):
+    for argv in (
+        ("unmap", "--s", "8", "--t", "11", "--partition", "[true]"),
+        ("map", "--s", "8", "--t", "11", "--path", "[true,1]"),
+        ("map", "--s", "8", "--t", "11", "--path", '{"m":4,"n":5,"mu":[true]}'),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "JSON array of integers" in err
+    # (3, 4) has a 1x2 box, so true would pass for m == 1
+    code, out, err = run(
+        capsys, "map", "--s", "3", "--t", "4", "--path", '{"m":true,"n":2,"mu":[1]}'
+    )
+    assert code == 2
+    assert "does not match" in err
+
+
 def test_largest(capsys):
     code, out, _ = run(capsys, "largest", "--s", "3", "--t", "4")
     assert code == 0
@@ -149,7 +182,7 @@ def test_enumerate_json_lines(capsys):
 def test_enumerate_budget_guard(capsys):
     code, _, err = run(capsys, "enumerate", "--s", "8", "--t", "11", "--budget", "5")
     assert code == 2
-    assert "budget" in err
+    assert "enumeration needs 126 paths, over the budget of 5" in err
 
 
 def test_verify_pass_and_exit_codes(capsys):
@@ -219,10 +252,25 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["count"] == 2
 
 
-def test_stats_parallel_flag(capsys):
-    code, out, _ = run(capsys, "stats", "--s", "8", "--t", "11", "--parallel", "on")
-    assert code == 0
-    assert json.loads(out)["total"] == 7350
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "stats.json"
+    code, out, err = run(
+        capsys, "stats", "--s", "2", "--t", "3", "--output", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --output")
+
+
+def test_import_loads_no_numpy():
+    subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import corepaths, corepaths.cli, sys; assert 'numpy' not in sys.modules",
+        ],
+        check=True,
+    )
 
 
 def test_remaining_format_branches(capsys):

@@ -137,14 +137,6 @@ def test_statistics_symmetric_in_s_and_t():
         assert image == other
 
 
-def test_fold_dispatches_to_bigint_path_when_int64_unsafe(monkeypatch):
-    import corepaths.enumeration as enumeration
-
-    reference = fold_path_sizes(8, 11)
-    monkeypatch.setattr(enumeration, "_INT64_SAFE", 1)
-    assert fold_path_sizes(8, 11) == reference
-
-
 def test_above_total_decomposes_into_weighted_table_sums():
     # entry (i, j) is s*t + s + t - 2sj - 2ti, so the path-summed above-total
     # splits into the plain and the row-/column-weighted below-count sums
@@ -174,12 +166,19 @@ def test_budget_guard():
         verify_pair(16, 17, budget=100)
 
 
-def test_parallel_matches_sequential():
-    for s, t in [(8, 11), (16, 17), (2, 9)]:
-        assert fold_path_sizes(s, t, parallel=True) == fold_path_sizes(s, t, parallel=False)
-        par = enumerated_stats(s, t, parallel=True)
-        seq = enumerated_stats(s, t, parallel=False)
-        assert par == seq
+def test_budget_error_states_the_digit_count_of_huge_counts():
+    from corepaths.enumeration import decimal_digits
+
+    for k in range(120):
+        for n in (10**k - 1, 10**k, 10**k + 1, 2**k, -(3**k)):
+            assert decimal_digits(n) == len(str(abs(n)))
+    assert str(PathBudgetError(10**99, 10)).startswith(f"enumeration needs {10**99} paths")
+    # 10**5000 is past Python's 4300-digit int->str limit
+    err = PathBudgetError(10**5000, 10**5000 - 1)
+    assert str(err) == (
+        "enumeration needs at least 10^5000 (5001 digits) paths, over the budget "
+        "of at least 10^4999 (5000 digits); raise the budget to proceed"
+    )
 
 
 def test_verify_pair_passes_and_serializes():

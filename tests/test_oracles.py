@@ -87,6 +87,19 @@ def test_cores_within_output_is_verified_core_set():
         assert (rows in found) == expected
 
 
+def test_cores_within_rechecks_what_the_walk_emits(monkeypatch):
+    # with pruning switched off the walk emits every subpartition; the
+    # honest re-check must still leave exactly the cores
+    import corepaths.oracles as oracles
+
+    lam = largest_core(CoreParams(4, 5))
+    expected = cores_within(lam.rows, 4, 5)
+    monkeypatch.setattr(oracles, "_dirty_bound", lambda rows, s, t: 0)
+    assert len(list(oracles._core_walk(lam.rows, 4, 5, lam.size))) > len(expected)
+    assert cores_within(lam.rows, 4, 5) == expected
+    assert brute_force_all_cores_count(4, 5) == 14
+
+
 def test_anderson_counts():
     for s, t in coprime_pairs(8):
         count = brute_force_all_cores_count(s, t)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from .partitions import Partition, partition_from_diagonal_hooks, validate_hook_set
@@ -99,6 +99,35 @@ class CoreArray:
     def positive_sum(self) -> int:
         """Sum of the positive entries; equals the largest core size."""
         return sum(v for row in self.entries for v in row if v > 0)
+
+    @cached_property
+    def abs_entries(self) -> frozenset[int]:
+        """The absolute values of all entries: every hook a path can carry."""
+        return frozenset(abs(v) for row in self.entries for v in row)
+
+    @cached_property
+    def _row_cuts(self) -> tuple[tuple[tuple[int, ...], tuple[slice, ...]], ...]:
+        # Entries fall from positive to negative along a row, so with p
+        # positives the hooks of a row cut at k (the |negative| entries left
+        # of k and the positive entries from k on) are one slice of the
+        # row's positives followed by its |negatives|, [k:p] or [p:k].  Each
+        # row keeps that line and the slice for every k, linear in its length.
+        cuts = []
+        for row in self.entries:
+            p = sum(1 for v in row if v > 0)
+            line = row[:p] + tuple(-v for v in row[p:])
+            slices = tuple(slice(min(k, p), max(k, p)) for k in range(self.n + 1))
+            cuts.append((line, slices))
+        return tuple(cuts)
+
+    def hook_set(self, cuts: tuple[int, ...]) -> tuple[int, ...]:
+        """Diagonal hook set of the path with cuts[i] cells above it in row
+        i + 1 (one cut per row): positive entries below the path plus the
+        absolute values of negative entries above it, sorted decreasing."""
+        hooks = []
+        for (line, slices), k in zip(self._row_cuts, cuts):
+            hooks += line[slices[k]]
+        return validate_hook_set(hooks)
 
 
 @lru_cache(maxsize=128)
@@ -184,12 +213,7 @@ def path_hook_set(path: LatticePath, arr: CoreArray) -> tuple[int, ...]:
         raise ValueError(
             f"path box {path.m}x{path.n} does not match array {arr.m}x{arr.n}"
         )
-    hooks = []
-    for i, row in enumerate(arr.entries, start=1):
-        k = path.mu.row(i)
-        hooks.extend(-v for v in row[:k] if v < 0)
-        hooks.extend(v for v in row[k:] if v > 0)
-    return validate_hook_set(hooks)
+    return arr.hook_set(path.mu.rows + (0,) * (arr.m - len(path.mu)))
 
 
 def core_from_path(path: LatticePath, params: CoreParams) -> Partition:
@@ -207,14 +231,16 @@ def path_from_core(p: Partition, params: CoreParams) -> LatticePath:
     exactly when its absolute value is.  The resulting above-set must be a
     partition shape, and the candidate path must map back to ``p``.
     """
-    if not p.is_self_conjugate():
-        raise ValueError(f"not in the bijection image: {p} is not self-conjugate")
-    hooks = set(p.diagonal_hooks())
-    arr = build_array(params.s, params.t)
-    abs_entries = {abs(v) for row in arr.entries for v in row}
-    if not hooks <= abs_entries:
+    try:
+        hooks = set(p.diagonal_hooks())
+    except ValueError:
         raise ValueError(
-            f"not in the bijection image: hooks {sorted(hooks - abs_entries)} "
+            f"not in the bijection image: {p} is not self-conjugate"
+        ) from None
+    arr = build_array(params.s, params.t)
+    if not hooks <= arr.abs_entries:
+        raise ValueError(
+            f"not in the bijection image: hooks {sorted(hooks - arr.abs_entries)} "
             f"do not occur in the ({params.s}, {params.t}) array"
         )
     mu_rows = []

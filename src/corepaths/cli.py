@@ -3,7 +3,8 @@
 Subcommands: stats, enumerate, map, unmap, largest, verify, sweep,
 identities, bruteforce.  All numeric output is exact (averages appear as
 num/den pairs).  Exit status: 0 on success and on verify/sweep with every
-check passing, 1 when any check fails, 2 on usage errors.
+check passing, 1 when any check fails, 2 on usage errors, 141 (128 +
+SIGPIPE) when the reader of stdout goes away before the output is written.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import shutil
 import sys
 
@@ -497,10 +499,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe must surface here, not in the interpreter's flush
+        # at exit, where it would print a traceback and exit 120
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): exit as SIGPIPE would, and
+        # point stdout at devnull so the unwritten rest is dropped quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .bijection import CoreParams, LatticePath, build_array, core_from_path, largest_core
-from .partitions import Partition
+from .bijection import CoreParams, LatticePath, build_array, largest_core
+from .partitions import Partition, diagonal_hooks_within, partition_from_diagonal_hooks
 
 DEFAULT_PATH_BUDGET = 10**7
 # Counts with more decimal digits than this are described by their digit
@@ -80,6 +80,16 @@ class CoreStats:
         if self.count:
             assert 0 <= self.max_size <= self.total_size
 
+    @classmethod
+    def from_fold(cls, fold: "FoldResult") -> "CoreStats":
+        """The statistics a path fold gives."""
+        return cls(
+            count=fold.count,
+            total_size=fold.total,
+            average_size=Fraction(fold.total, fold.count),
+            max_size=fold.max_size,
+        )
+
 
 @dataclass(frozen=True)
 class FoldResult:
@@ -116,6 +126,14 @@ def iter_paths(m: int, n: int) -> Iterator[LatticePath]:
     colexicographic order of their above-partitions."""
     for mu in iter_box_partitions(m, n):
         yield LatticePath(m, n, Partition(tuple(r for r in mu if r)))
+
+
+def _iter_hook_sets(params: CoreParams) -> Iterator[tuple[int, ...]]:
+    """Every path's diagonal hook set (what ``path_hook_set`` gives), in the
+    order of ``iter_paths``, without building paths or partitions."""
+    hook_set = build_array(params.s, params.t).hook_set
+    for mu in iter_box_partitions(params.m, params.n):
+        yield hook_set(mu)
 
 
 def coprime_pairs(limit: int, low: int = 2) -> list[tuple[int, int]]:
@@ -193,13 +211,7 @@ def enumerated_stats(
     """Count / total / average / max size of the self-conjugate (s, t)-cores
     by walking every lattice path, with exact arithmetic throughout."""
     check_path_budget(CoreParams(s, t), budget)
-    fold = fold_path_sizes(s, t)
-    return CoreStats(
-        count=fold.count,
-        total_size=fold.total,
-        average_size=Fraction(fold.total, fold.count),
-        max_size=fold.max_size,
-    )
+    return CoreStats.from_fold(fold_path_sizes(s, t))
 
 
 def average_size_formula(s: int, t: int) -> Fraction:
@@ -239,15 +251,9 @@ def verify_pair(
     only run within their budgets.  Failures are reported, never raised.
     """
     params = CoreParams(s, t)
-    m, n = params.m, params.n
     expected = check_path_budget(params, budget)
     fold = fold_path_sizes(s, t)
-    stats = CoreStats(
-        count=fold.count,
-        total_size=fold.total,
-        average_size=Fraction(fold.total, fold.count),
-        max_size=fold.max_size,
-    )
+    stats = CoreStats.from_fold(fold)
 
     checks = []
 
@@ -267,18 +273,17 @@ def verify_pair(
     add("max_attained_once", fold.max_multiplicity, 1)
 
     if stats.count <= containment_limit:
-        lam = largest_core(params)
-        bad = 0
-        for path in iter_paths(m, n):
-            if not lam.contains(core_from_path(path, params)):
-                bad += 1
+        outer = largest_core(params).diagonal_hooks()
+        bad = sum(
+            not diagonal_hooks_within(hooks, outer) for hooks in _iter_hook_sets(params)
+        )
         add("largest_core_contains_all", bad, 0)
 
     if oracle_budget is not None:
         from .oracles import brute_force_sc_cores
 
         oracle = {p.rows for p in brute_force_sc_cores(s, t, budget=oracle_budget)}
-        image = {core_from_path(path, params).rows for path in iter_paths(m, n)}
+        image = {partition_from_diagonal_hooks(h).rows for h in _iter_hook_sets(params)}
         checks.append(
             {
                 "name": "oracle_set_equality",

@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
+from operator import index, le
 from typing import Iterable, Iterator
 
 
@@ -151,14 +151,16 @@ def validate_hook_set(hooks: Iterable[int]) -> tuple[int, ...]:
     """Check a diagonal hook set (distinct odd positives), return it sorted
     in decreasing order."""
     try:
-        hs = sorted((index(h) for h in hooks), reverse=True)
+        hs = sorted(map(index, hooks), reverse=True)
     except TypeError:
         raise ValueError(f"diagonal hooks must be integers, got {hooks!r}")
-    for i, h in enumerate(hs):
+    prev = 0
+    for h in hs:
         if h < 1 or h % 2 == 0:
             raise ValueError(f"diagonal hooks must be odd positives, got {h}")
-        if i and hs[i - 1] == h:
+        if h == prev:
             raise ValueError(f"diagonal hooks must be distinct, got {h} twice")
+        prev = h
     return tuple(hs)
 
 
@@ -172,14 +174,28 @@ def partition_from_diagonal_hooks(hooks: Iterable[int]) -> Partition:
     hs = validate_hook_set(hooks)
     k = len(hs)
     rows = [(h - 1) // 2 + i for i, h in enumerate(hs, start=1)]
-    i = k + 1
-    while True:
-        extra = sum(1 for r in rows[:k] if r >= i)
-        if extra == 0:
-            break
-        rows.append(extra)
-        i += 1
+    # row i > k is column i: the number c of the first k rows reaching
+    # column i.  c only shrinks as i grows, and the last row is rows[0]
+    # (the first column has rows[0] cells), so c >= 1 throughout
+    c = k
+    for i in range(k + 1, (rows[0] if rows else 0) + 1):
+        while rows[c - 1] < i:
+            c -= 1
+        rows.append(c)
     return Partition(tuple(rows))
+
+
+def diagonal_hooks_within(inner: tuple[int, ...], outer: tuple[int, ...]) -> bool:
+    """Containment of self-conjugate partitions, read off their diagonal
+    hooks (each sorted in decreasing order): ``inner`` fits in ``outer``
+    exactly when it has no more hooks and ``inner[i] <= outer[i]`` for
+    every i.
+
+    Proof: row i <= d of a self-conjugate partition is (h_i - 1)/2 + i, and
+    the rows below the Durfee square are its columns, so containment is
+    decided by the first d rows, which the hooks compare one by one.
+    """
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 def hook_set_is_t_core(hooks: Iterable[int], t: int) -> bool:

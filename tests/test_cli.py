@@ -273,6 +273,22 @@ def test_import_loads_no_numpy():
     )
 
 
+@pytest.mark.parametrize("limit", ["3", "25"])
+def test_closed_stdout_pipe_exits_141_without_traceback(limit):
+    # the read end is closed before the command writes: the short output
+    # (under one 8 KiB buffer) breaks at the flush, the long one in print
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "corepaths.cli", "identities", "--max", limit],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_remaining_format_branches(capsys):
     code, out, _ = run(capsys, "enumerate", "--s", "3", "--t", "4", "--format", "csv")
     assert code == 0

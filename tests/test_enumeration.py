@@ -3,6 +3,7 @@ from math import comb, gcd
 
 import pytest
 
+from corepaths import enumeration
 from corepaths import (
     CoreParams,
     PathBudgetError,
@@ -14,6 +15,7 @@ from corepaths import (
     fold_path_sizes,
     iter_box_partitions,
     iter_paths,
+    largest_core,
     report_all_pass,
     report_csv_row,
     total_size_from_path_counts,
@@ -222,6 +224,24 @@ def test_verify_pair_skips_containment_beyond_limit():
     names = [c["name"] for c in report["checks"]]
     assert "largest_core_contains_all" not in names
     assert report_all_pass(report)
+
+
+def test_containment_check_counts_what_contains_counts(monkeypatch):
+    # stand every path image of (8, 11) in for the largest core: the
+    # hook-set check must fail exactly as often as the literal containment
+    params = CoreParams(8, 11)
+    images = [core_from_path(path, params) for path in iter_paths(params.m, params.n)]
+    for small in images:
+        monkeypatch.setattr(enumeration, "largest_core", lambda params: small)
+        (check,) = [
+            c
+            for c in verify_pair(8, 11)["checks"]
+            if c["name"] == "largest_core_contains_all"
+        ]
+        literal = sum(1 for core in images if not small.contains(core))
+        assert check["lhs"] == literal
+        assert check["pass"] == (literal == 0)
+        assert check["pass"] == (small == largest_core(params))
 
 
 def test_report_csv_row():

@@ -5,6 +5,7 @@ import pytest
 
 from corepaths import (
     Partition,
+    diagonal_hooks_within,
     hook_set_is_t_core,
     is_t_core,
     is_t_core_scan,
@@ -173,6 +174,20 @@ def _self_conjugate_up_to(limit):
             yield p
 
 
+def _rows_by_recounting(hooks):
+    """Reference route: each row below the Durfee square counts afresh the
+    diagonal rows that reach it."""
+    k = len(hooks)
+    rows = [(h - 1) // 2 + i for i, h in enumerate(hooks, start=1)]
+    i = k + 1
+    while True:
+        extra = sum(1 for r in rows[:k] if r >= i)
+        if extra == 0:
+            return tuple(rows)
+        rows.append(extra)
+        i += 1
+
+
 def test_diagonal_hook_round_trip_up_to_30():
     seen = 0
     for p in _self_conjugate_up_to(30):
@@ -180,8 +195,19 @@ def test_diagonal_hook_round_trip_up_to_30():
         assert all(h % 2 == 1 for h in hooks)
         assert list(hooks) == sorted(hooks, reverse=True)
         assert partition_from_diagonal_hooks(hooks) == p
+        assert partition_from_diagonal_hooks(hooks).rows == _rows_by_recounting(hooks)
         seen += 1
     assert seen > 100
+
+
+def test_diagonal_hooks_within_matches_contains_up_to_24():
+    parts = [(p, p.diagonal_hooks()) for p in _self_conjugate_up_to(24)]
+    assert len(parts) ** 2 == 8464
+    for outer, outer_hooks in parts:
+        for inner, inner_hooks in parts:
+            assert diagonal_hooks_within(inner_hooks, outer_hooks) == outer.contains(
+                inner
+            ), (inner, outer)
 
 
 def test_hook_set_characterization_examples():

@@ -23,7 +23,7 @@ from .partitions import Partition, partition_from_diagonal_hooks, validate_hook_
 # Input cap on s*t.  All arithmetic is exact Python ints, so the cap is not
 # about overflow: it bounds array size and work, since the array has about
 # s*t/4 entries and the largest core about (s*t)^2/24 cells.
-_MAX_ST_64BIT = 2**31
+_MAX_ST = 2**31
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class CoreParams:
             raise ValueError(f"both parameters must be at least 2, got ({s}, {t})")
         if math.gcd(s, t) != 1:
             raise ValueError(f"not coprime: ({s}, {t})")
-        if s * t > _MAX_ST_64BIT:
+        if s * t > _MAX_ST:
             raise ValueError(f"s*t = {s * t} is over the supported maximum of 2**31")
         assert s % 2 == 1 or t % 2 == 1
 

@@ -10,8 +10,13 @@ below it in the tests:
   most a bound (``survey_partitions``), pruned by the observation that
   once a row shorter than j is appended, every hook in columns > j is
   final, so a forbidden hook there kills the whole subtree.  Visits exactly
-  the prefixes whose finalised cells are clean; emitted partitions have had
-  every cell checked;
+  the prefixes whose finalised cells are clean.  The lowest clean next row
+  costs two bisections per node, not a scan of the k fixed rows: row i
+  would finalise a hook f in column k + 1 - f - (i - rows[i]) (1-based i),
+  and i - rows[i] strictly increases down weakly decreasing rows, so these
+  columns strictly decrease.  The largest one not right of the last row is
+  therefore the one at the index ``bisect_left`` finds, and the bound is
+  exactly the one a scan of every row would give;
 * ``brute_force_sc_cores``: self-conjugate cores are walked through their
   diagonal hook sets.  Fixing the largest hook pins the first-column hook
   set slot by slot (hook u in the set puts (e1+u)/2 in, else (e1-u)/2), so
@@ -26,6 +31,7 @@ ones; the set-equality tests against the literal sweeps guard the rest.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -100,30 +106,37 @@ def iter_subpartitions(shape: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     yield from rec(0, shape[0] if shape else 0)
 
 
-def _dirty_bound(rows: list[int], s: int, t: int) -> int:
-    """Largest column j <= rows[-1] where some already-fixed row would get a
-    finalised hook of s or t if the next row ended left of j; 0 if none.
+def _dirty_bound(a: list[int], v: int, s: int, t: int) -> int:
+    """Largest column j <= v where some fixed row would get a finalised hook
+    of s or t if the next row ended left of j; 0 if none.
 
-    Appending a row of length v finalises cells (i, j) for v < j <=
-    rows[-1]: their columns gain no further cells, so their hooks are
-    rows[i] - j + k - i + 1 for good.  Appending any v >= the returned bound
-    is clean, any smaller v (and stopping, when the bound is positive)
-    finalises a forbidden hook.
+    ``v`` is the row just appended as row k = len(a), and a[i-1] is
+    i - rows[i-1] for every fixed row i.  Appending a row of length u
+    finalises cells (i, j) for u < j <= v: their columns gain no further
+    cells, so their hooks are rows[i] - j + k - i + 1 = k + 1 - a_i - j for
+    good.  Row i thus has a forbidden hook f in candidate column
+    j_i = k + 1 - f - a_i.  The rows weakly decrease, so a_i strictly
+    increases and j_i strictly decreases in i: the largest j_i <= v is the
+    one at the first index with a_i >= k + 1 - v - f, found by bisection,
+    and it counts only if it is >= 1 (every later one is smaller still).
+    Appending any u >= the returned bound is clean, any smaller u (and
+    stopping, when the bound is positive) finalises a forbidden hook.
     """
-    k = len(rows)
-    w = rows[-1]
-    bound = 0
-    for i in range(1, k + 1):
-        base = rows[i - 1] + k - i + 1  # hook of cell (i, j) is base - j
-        for f in (s, t):
-            j = base - f
-            if bound < j <= w:
-                bound = j
-    return bound
+    k = len(a)
+    c = k + 1 - v
+    i = bisect_left(a, c - s)
+    js = k + 1 - s - a[i] if i < k else 0
+    i = bisect_left(a, c - t)
+    jt = k + 1 - t - a[i] if i < k else 0
+    return max(js, jt, 0)
 
 
 def _core_walk(
-    shape: tuple[int, ...], s: int, t: int, max_size: int
+    shape: tuple[int, ...],
+    s: int,
+    t: int,
+    max_size: int,
+    visited: list[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Candidate (s, t)-cores contained in ``shape`` and of size at most
     ``max_size``, by pruned depth-first search over rows (longest first).
@@ -131,28 +144,50 @@ def _core_walk(
     A row is only appended when it finalises no forbidden hook, and a prefix
     is only emitted when stopping there finalises none either, so every
     partition within both caps is emitted or lies in a subtree that provably
-    holds no core.  The search keeps its own stack: a column of 1s is never
-    pruned, so the depth can reach ``len(shape)``.
+    holds no core.  The search keeps its own stack of levels, each the next
+    row length to try and the lowest one allowed: a column of 1s is never
+    pruned, so the depth can reach ``len(shape)``.  When ``visited`` is
+    given, the number of prefixes appended is added to ``visited[0]`` once
+    the walk is exhausted.
     """
     yield ()
     rows: list[int] = []
+    a: list[int] = []  # a[i-1] = i - rows[i-1], strictly increasing
     size = 0
-    levels = [iter(range(min(shape[0], max_size) if shape else 0, 0, -1))]
-    while levels:
-        v = next(levels[-1], 0)
-        if not v:
-            levels.pop()
+    depth = len(shape)
+    top = min(shape[0], max_size) if shape else 0
+    appended = top
+    nxt = [top]  # next row length to try, per level
+    low = [1]  # lowest row length allowed, per level
+    while nxt:
+        v = nxt[-1]
+        if v < low[-1]:
+            nxt.pop()
+            low.pop()
             if rows:
                 size -= rows.pop()
+                a.pop()
             continue
+        nxt[-1] = v - 1
         rows.append(v)
-        size += v
-        bound = _dirty_bound(rows, s, t)
-        if bound == 0:
-            yield tuple(rows)
         k = len(rows)
-        cap = min(v, shape[k], max_size - size) if k < len(shape) else 0
-        levels.append(iter(range(cap, max(bound, 1) - 1, -1)))
+        a.append(k - v)
+        size += v
+        bound = _dirty_bound(a, v, s, t)
+        if not bound:
+            yield tuple(rows)
+        lo = bound or 1
+        cap = min(v, shape[k], max_size - size) if k < depth else 0
+        if cap >= lo:
+            appended += cap - lo + 1
+            nxt.append(cap)
+            low.append(lo)
+        else:
+            size -= v
+            rows.pop()
+            a.pop()
+    if visited is not None:
+        visited[0] += appended
 
 
 def cores_within(shape: tuple[int, ...], s: int, t: int) -> list[tuple[int, ...]]:
@@ -322,13 +357,15 @@ class PartitionSurvey:
 
     ``scanned`` counts the partitions the survey accounts for, every one of
     size <= the bound, not ones visited one by one: each is either tested
-    or lies in a search subtree proven to hold no core.
+    or lies in a search subtree proven to hold no core.  ``visited`` counts
+    the nonempty prefixes the pruned search did visit.
     """
 
     scanned: int
     cores: int
     core_size_total: int
     outside_largest: int
+    visited: int
 
 
 def survey_partitions(
@@ -348,11 +385,14 @@ def survey_partitions(
         raise ValueError(f"limit must be non-negative, got {limit}")
     lam = largest_core(params) if check_containment else None
     cores = core_size_total = outside = 0
-    for rows in _core_walk((limit,) * limit, s, t, limit):
+    visited = [0]
+    for rows in _core_walk((limit,) * limit, s, t, limit, visited):
         p = Partition(rows)
         if is_t_core(p, s) and is_t_core(p, t):
             cores += 1
             core_size_total += p.size
             if lam is not None and not lam.contains(p):
                 outside += 1
-    return PartitionSurvey(_partitions_up_to(limit), cores, core_size_total, outside)
+    return PartitionSurvey(
+        _partitions_up_to(limit), cores, core_size_total, outside, visited[0]
+    )

@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index, le
+from operator import add, ge, index, le
 from typing import Iterable, Iterator
 
 
@@ -28,10 +28,13 @@ class Partition:
 
     def __post_init__(self):
         try:
-            rows = tuple(index(r) for r in self.rows)
+            rows = tuple(map(index, self.rows))
         except TypeError:
             raise ValueError(f"row lengths must be integers, got {self.rows!r}")
         object.__setattr__(self, "rows", rows)
+        if not rows or (rows[-1] >= 1 and all(map(ge, rows, rows[1:]))):
+            return
+        # invalid: find the first offending row, for the error message
         for i, r in enumerate(rows):
             if r < 1:
                 raise ValueError(f"row lengths must be positive, got {r}")
@@ -63,7 +66,19 @@ class Partition:
         return Partition(tuple(cols))
 
     def is_self_conjugate(self) -> bool:
-        return self.conjugate().rows == self.rows
+        """Compare each row with its column count, stopping at the first
+        mismatch; no conjugate is built."""
+        rows = self.rows
+        # c counts the rows reaching column j.  At j = 1 that is all of them,
+        # so the loop goes on only if rows[0] = len(rows), and rows[0] >= j
+        # then keeps c >= 1
+        c = len(rows)
+        for j, r in enumerate(rows, start=1):
+            while rows[c - 1] < j:
+                c -= 1
+            if r != c:
+                return False
+        return True
 
     def contains(self, inner: "Partition") -> bool:
         """Containment order: every row of ``inner`` fits inside this one."""
@@ -93,8 +108,7 @@ class Partition:
         These are ``rows[i] + len - i`` for 1-based i, a strictly decreasing
         set that determines the partition.
         """
-        l = len(self.rows)
-        return [r + l - i - 1 for i, r in enumerate(self.rows)]
+        return list(map(add, self.rows, range(len(self.rows) - 1, -1, -1)))
 
     def durfee(self) -> int:
         """Side of the largest square fitting in the diagram."""
@@ -135,9 +149,8 @@ def is_t_core(p: Partition, t: int) -> bool:
     """
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
-    hooks = p.first_column_hooks()
-    present = set(hooks)
-    return all(b < t or (b - t) in present for b in hooks)
+    hooks = set(p.first_column_hooks())
+    return hooks.issuperset([b - t for b in hooks if b >= t])
 
 
 def is_t_core_scan(p: Partition, t: int) -> bool:

@@ -94,10 +94,86 @@ def test_cores_within_rechecks_what_the_walk_emits(monkeypatch):
 
     lam = largest_core(CoreParams(4, 5))
     expected = cores_within(lam.rows, 4, 5)
-    monkeypatch.setattr(oracles, "_dirty_bound", lambda rows, s, t: 0)
+    monkeypatch.setattr(oracles, "_dirty_bound", lambda a, v, s, t: 0)
     assert len(list(oracles._core_walk(lam.rows, 4, 5, lam.size))) > len(expected)
     assert cores_within(lam.rows, 4, 5) == expected
     assert brute_force_all_cores_count(4, 5) == 14
+
+
+def _reference_dirty_bound(rows, s, t):
+    # the O(k) scan: every fixed row, both forbidden hooks
+    k = len(rows)
+    w = rows[-1]
+    bound = 0
+    for i in range(1, k + 1):
+        base = rows[i - 1] + k - i + 1  # hook of cell (i, j) is base - j
+        for f in (s, t):
+            j = base - f
+            if bound < j <= w:
+                bound = j
+    return bound
+
+
+def _reference_walk(shape, s, t, max_size):
+    # the pruned walk by recursion, on the O(k) scan
+    out = [()]
+    rows = []
+
+    def extend(cap, low, size):
+        for v in range(cap, low - 1, -1):
+            rows.append(v)
+            bound = _reference_dirty_bound(rows, s, t)
+            if bound == 0:
+                out.append(tuple(rows))
+            k = len(rows)
+            below = min(v, shape[k], max_size - size - v) if k < len(shape) else 0
+            extend(below, max(bound, 1), size + v)
+            rows.pop()
+
+    extend(min(shape[0], max_size) if shape else 0, 1, 0)
+    return out
+
+
+def _walk_cases(max_t, max_limit):
+    # (shape, s, t, max_size): the largest core, then size-capped boxes
+    for s, t in coprime_pairs(max_t):
+        lam = largest_core(CoreParams(s, t))
+        yield lam.rows, s, t, lam.size
+        for limit in range(max_limit + 1):
+            yield (limit,) * limit, s, t, limit
+
+
+def test_dirty_bound_matches_the_row_scan_on_every_visited_prefix(monkeypatch):
+    import corepaths.oracles as oracles
+
+    bisected = oracles._dirty_bound
+    calls = [0]
+
+    def checked(a, v, s, t):
+        rows = [i - x for i, x in enumerate(a, start=1)]
+        assert rows[-1] == v
+        got = bisected(a, v, s, t)
+        assert got == _reference_dirty_bound(rows, s, t), (rows, s, t)
+        calls[0] += 1
+        return got
+
+    monkeypatch.setattr(oracles, "_dirty_bound", checked)
+    for shape, s, t, max_size in _walk_cases(9, 20):
+        calls[0] = 0
+        visited = [0]
+        for _ in oracles._core_walk(shape, s, t, max_size, visited):
+            pass
+        # one bound per appended prefix, and the walk counts them all
+        assert visited[0] == calls[0], (shape, s, t)
+
+
+def test_core_walk_emits_the_row_scan_walk_sequence():
+    import corepaths.oracles as oracles
+
+    for shape, s, t, max_size in _walk_cases(9, 25):
+        assert list(oracles._core_walk(shape, s, t, max_size)) == _reference_walk(
+            shape, s, t, max_size
+        ), (shape, s, t)
 
 
 def test_anderson_counts():
@@ -266,6 +342,15 @@ def test_survey_covers_every_partition_up_to_the_limit():
     assert sv.scanned == 30053954
     assert sv.cores * 13 == comb(13, 6)
     assert sv.outside_largest == 0
+
+
+def test_survey_reports_the_prefixes_it_visited():
+    # 14,013 prefixes visited instead of 30,053,954 partitions
+    sv = survey_partitions(6, 7, 70)
+    assert sv.visited == 14013
+    assert sv.cores <= sv.visited
+    assert survey_partitions(3, 4, 0).visited == 0
+    assert survey_partitions(3, 4, 1).visited == 1
 
 
 def test_survey_walks_deeper_than_the_recursion_limit():

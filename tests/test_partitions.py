@@ -31,6 +31,15 @@ def test_construction_rejects_bad_rows():
         Partition(("3",))
 
 
+def test_construction_reports_the_first_bad_row():
+    with pytest.raises(ValueError, match=r"weakly decreasing, got \(2, 3, 0\)"):
+        Partition((2, 3, 0))
+    with pytest.raises(ValueError, match="positive, got 0"):
+        Partition((3, 0, 1))
+    with pytest.raises(ValueError, match="positive, got -2"):
+        Partition((-2, -3))
+
+
 def test_construction_accepts_integer_like_values():
     import numpy as np
 
@@ -136,6 +145,12 @@ def test_is_self_conjugate_examples():
     assert FIG1.is_self_conjugate()
     assert Partition().is_self_conjugate()
     assert not Partition((2,)).is_self_conjugate()
+
+
+def test_is_self_conjugate_matches_the_conjugate_up_to_24():
+    for rows in iter_partitions_up_to(24):
+        p = Partition(rows)
+        assert p.is_self_conjugate() == (p.conjugate().rows == p.rows), rows
 
 
 def test_diagonal_hooks_examples():

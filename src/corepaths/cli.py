@@ -436,7 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", type=int, required=True)
         p.add_argument("--t", type=int, required=True)
 
-    p = sub.add_parser("stats", help="enumerated count/total/average/max of SC(s,t)")
+    p = sub.add_parser(
+        "stats",
+        help="count/total/average/max of SC(s,t) by an O(mn) DP over the path box",
+    )
     add_pair(p)
     add_common(p, DEFAULT_PATH_BUDGET)
     p.set_defaults(func=cmd_stats)

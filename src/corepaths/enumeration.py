@@ -1,12 +1,16 @@
-"""Exhaustive enumeration of self-conjugate (s, t)-cores through their
-lattice paths, with exact statistics and the identity checks tying them to
-the closed formulas.
+"""Exact statistics of self-conjugate (s, t)-cores through their lattice
+paths, with the identity checks tying them to the closed formulas.
 
 Counts, totals and averages are arbitrary-precision Python ints and
-Fractions throughout.  The path fold splits the path space into strata by
-the last row of the above-partition, which is constant on contiguous
-colexicographic ranges, folds each stratum on its own and merges the
-results; each stratum's path count is checked against its binomial.
+Fractions throughout.  A core's size is the largest size minus the array
+entries above its path, and the rows of the above-partition weakly
+decrease, so the statistics come from a staircase fold: a DP over the value
+of each row, bottom row up, in O(mn) semiring steps (``_staircase_fold``).
+The path walk stays as its independent cross-check: it splits the path
+space into strata by the last row of the above-partition, which is constant
+on contiguous colexicographic ranges, folds each stratum one path at a time
+and merges the results; each stratum's path count is checked against its
+binomial.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ class CoreStats:
 
     @classmethod
     def from_fold(cls, fold: "FoldResult") -> "CoreStats":
-        """The statistics a path fold gives."""
+        """The statistics a fold over every path gives."""
         return cls(
             count=fold.count,
             total_size=fold.total,
@@ -187,7 +191,8 @@ def _fold_stratum_pure(prefix, n: int, w: int, box_total: int):
 
 
 def fold_path_sizes(s: int, t: int) -> FoldResult:
-    """Fold exact size statistics over every path of the (s, t) box."""
+    """Fold exact size statistics over every path of the (s, t) box, one
+    path at a time: the walk ``verify_pair`` checks the staircase fold by."""
     params = CoreParams(s, t)
     m, n = params.m, params.n
     prefix = build_array(s, t).row_prefix_sums()
@@ -203,15 +208,67 @@ def fold_path_sizes(s: int, t: int) -> FoldResult:
     return FoldResult(count, total, best, best_count)
 
 
+def _staircase_fold(weights, unit, shift, combine):
+    """Fold a semiring over every weakly decreasing sequence
+    n >= mu_1 >= ... >= mu_m >= 0, the above-partitions of the m x n box.
+
+    weights is an (m, n+1) table: row i weighs mu_{i+1} = v by
+    weights[i][v].  ``shift(x, a)`` puts a row of weight a on top of every
+    sequence x stands for, ``combine(x, y)`` merges two disjoint sets of
+    sequences, and ``unit`` stands for the empty sequence.  The rows go
+    bottom up: after row i, acc[v] stands for every suffix mu_i, ..., mu_m
+    with mu_i <= v, a running prefix over v that row i-1 reads in place.
+    O(mn) shifts and combines.
+    """
+    acc = [unit] * len(weights[0])
+    for row in reversed(weights):
+        running = acc[0] = shift(acc[0], row[0])
+        for v in range(1, len(row)):
+            running = acc[v] = combine(running, shift(acc[v], row[v]))
+    return acc[-1]
+
+
+# The size semiring: (paths, sum of their above-sums, least above-sum, how
+# many paths attain it).  The above-sum is what a path's core lacks of the
+# largest core.
+_SIZE_UNIT = (1, 0, 0, 1)
+
+
+def _size_shift(x, a):
+    c, total, low, k = x
+    return (c, total + a * c, low + a, k)
+
+
+def _size_combine(x, y):
+    if x[2] < y[2]:
+        return (x[0] + y[0], x[1] + y[1], x[2], x[3])
+    if y[2] < x[2]:
+        return (x[0] + y[0], x[1] + y[1], y[2], y[3])
+    return (x[0] + y[0], x[1] + y[1], x[2], x[3] + y[3])
+
+
+def _staircase_sizes(s: int, t: int) -> FoldResult:
+    """What ``fold_path_sizes`` computes, by the staircase fold over the
+    array's row prefix sums in O(mn) steps instead of one per path."""
+    params = CoreParams(s, t)
+    prefix = build_array(s, t).row_prefix_sums()
+    count, above, low, k = _staircase_fold(prefix, _SIZE_UNIT, _size_shift, _size_combine)
+    top = params.max_core_size
+    return FoldResult(count, top * count - above, top - low, k)
+
+
 def enumerated_stats(
     s: int,
     t: int,
     budget: int = DEFAULT_PATH_BUDGET,
 ) -> CoreStats:
     """Count / total / average / max size of the self-conjugate (s, t)-cores
-    by walking every lattice path, with exact arithmetic throughout."""
+    over every lattice path of the box, with exact arithmetic throughout.
+
+    The statistics come from the staircase fold in O(mn) steps; the path
+    count must still be within ``budget``."""
     check_path_budget(CoreParams(s, t), budget)
-    return CoreStats.from_fold(fold_path_sizes(s, t))
+    return CoreStats.from_fold(_staircase_sizes(s, t))
 
 
 def average_size_formula(s: int, t: int) -> Fraction:
@@ -245,14 +302,16 @@ def verify_pair(
 ) -> dict:
     """Cross-check every counting statement for one coprime pair.
 
-    Returns a JSON-ready report: enumerated statistics plus a list of
-    {name, pass, lhs, rhs} checks.  The containment sweep (and, when
+    Returns a JSON-ready report: the statistics from the staircase fold plus
+    a list of {name, pass, lhs, rhs} checks, one of which compares them with
+    the path walk.  The containment sweep (and, when
     ``oracle_budget`` is given, the independent brute-force set comparison)
     only run within their budgets.  Failures are reported, never raised.
     """
     params = CoreParams(s, t)
     expected = check_path_budget(params, budget)
-    fold = fold_path_sizes(s, t)
+    fold = _staircase_sizes(s, t)
+    walk = fold_path_sizes(s, t)
     stats = CoreStats.from_fold(fold)
 
     checks = []
@@ -271,6 +330,11 @@ def verify_pair(
     )
     add("max_is_closed_form", stats.max_size, params.max_core_size)
     add("max_attained_once", fold.max_multiplicity, 1)
+    add(
+        "staircase_matches_walk",
+        [fold.count, fold.total, fold.max_size, fold.max_multiplicity],
+        [walk.count, walk.total, walk.max_size, walk.max_multiplicity],
+    )
 
     if stats.count <= containment_limit:
         outer = largest_core(params).diagonal_hooks()

@@ -32,22 +32,23 @@ def below_count_table(m: int, n: int) -> tuple[tuple[int, ...], ...]:
 
     A path is below cell (i, j) exactly when it crosses the column strip of
     j at some height h <= m - i, which splits it into a prefix ending at
-    (j-1, h) and a suffix from (j, h); summing over h gives the count.
+    (j-1, h) and a suffix from (j, h).  Cell (i, j) therefore counts the
+    crossings of cell (i+1, j) plus those at height h = m - i alone, so the
+    rows are built bottom up in O(mn) products.
     Cached: the identity sweeps revisit each box several times.
     """
     if m < 1 or n < 1:
         raise ValueError(f"box dimensions must be positive, got {m}x{n}")
     paths = path_prefix_table(n, m)
-    f = []
-    for i in range(1, m + 1):
-        row = []
-        for j in range(1, n + 1):
-            total = 0
-            for h in range(m - i + 1):
-                total += paths[j - 1][h] * paths[n - j][m - h]
-            row.append(total)
-        f.append(tuple(row))
-    return tuple(f)
+    rows = []
+    below = [0] * n
+    for i in range(m, 0, -1):
+        h = m - i
+        below = [
+            b + paths[j - 1][h] * paths[n - j][i] for j, b in enumerate(below, start=1)
+        ]
+        rows.append(tuple(below))
+    return tuple(reversed(rows))
 
 
 def below_count_table_by_enumeration(m: int, n: int) -> tuple[tuple[int, ...], ...]:

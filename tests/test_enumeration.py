@@ -90,6 +90,72 @@ def test_enumerated_stats_against_naive_fold():
         assert fold.max_multiplicity == sizes.count(max(sizes)) == 1
 
 
+def test_staircase_fold_equals_path_walk():
+    # FoldResult equality compares count, total, max and max multiplicity
+    for s in range(2, 22):
+        for t in range(2, 22):
+            if s != t and gcd(s, t) == 1:
+                assert enumeration._staircase_sizes(s, t) == fold_path_sizes(s, t), (s, t)
+
+
+def test_staircase_fold_on_tied_weights():
+    # core sizes never tie at the maximum, so small random weights with many
+    # ties check the multiplicity of the minimum against every sequence
+    import random
+
+    rng = random.Random(6)
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for _ in range(5):
+                weights = [[rng.randint(-2, 2) for _ in range(n + 1)] for _ in range(m)]
+                above = [
+                    sum(row[v] for row, v in zip(weights, mu))
+                    for mu in iter_box_partitions(m, n)
+                ]
+                assert enumeration._staircase_fold(
+                    weights,
+                    enumeration._SIZE_UNIT,
+                    enumeration._size_shift,
+                    enumeration._size_combine,
+                ) == (len(above), sum(above), min(above), above.count(min(above)))
+
+
+@pytest.mark.parametrize("s, t", [(101, 103), (501, 503)])
+def test_staircase_fold_closed_forms_far_over_the_path_budget(s, t):
+    m, n = s // 2, t // 2
+    fold = enumeration._staircase_sizes(s, t)
+    assert fold.count == comb(m + n, m)
+    assert 24 * fold.total == (s + t + 1) * (s - 1) * (t - 1) * fold.count
+    assert fold.max_size == (s * s - 1) * (t * t - 1) // 24
+    assert fold.max_multiplicity == 1
+
+
+def test_staircase_check_fails_when_the_walk_is_off_by_one(monkeypatch, capsys):
+    from corepaths.cli import main
+
+    walk_stratum = enumeration._fold_stratum_pure
+
+    def off_by_one(prefix, n, w, box_total):
+        count, total, best, best_count = walk_stratum(prefix, n, w, box_total)
+        return count, total + (w == 2), best, best_count
+
+    monkeypatch.setattr(enumeration, "_fold_stratum_pure", off_by_one)
+    report = verify_pair(8, 11)
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert failed == [
+        {
+            "name": "staircase_matches_walk",
+            "pass": False,
+            "lhs": [126, 7350, 315, 1],
+            "rhs": [126, 7351, 315, 1],
+        }
+    ]
+    # the reported statistics are the staircase fold's, not the walk's
+    assert report["total"] == 7350
+    assert main(["verify", "--s", "8", "--t", "11"]) == 1
+    assert "staircase_matches_walk" in capsys.readouterr().out
+
+
 def test_average_size_formula_examples():
     assert average_size_formula(2, 3) == Fraction(1, 2)
     assert average_size_formula(3, 4) == 2
@@ -197,6 +263,7 @@ def test_verify_pair_passes_and_serializes():
         "total_matches_average_formula",
         "max_is_closed_form",
         "max_attained_once",
+        "staircase_matches_walk",
         "largest_core_contains_all",
     ]
     import json

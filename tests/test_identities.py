@@ -16,6 +16,7 @@ from corepaths import (
     sum_below_times_row_closed,
     symmetry_holds,
 )
+from corepaths.identities import path_prefix_table
 
 
 def test_table_tiny_boxes():
@@ -34,6 +35,25 @@ def test_table_matches_enumeration_small():
     for m in range(1, 6):
         for n in range(1, 6):
             assert below_count_table(m, n) == below_count_table_by_enumeration(m, n)
+
+
+def _reference_below_count_table(m, n):
+    # the height sum: the paths below cell (i, j) cross the strip of column
+    # j at some height h <= m - i, a prefix to (j-1, h) and a suffix from (j, h)
+    paths = path_prefix_table(n, m)
+    return tuple(
+        tuple(
+            sum(paths[j - 1][h] * paths[n - j][m - h] for h in range(m - i + 1))
+            for j in range(1, n + 1)
+        )
+        for i in range(1, m + 1)
+    )
+
+
+def test_table_matches_height_sum():
+    for m in range(1, 15):
+        for n in range(1, 15):
+            assert below_count_table(m, n) == _reference_below_count_table(m, n)
 
 
 def test_table_corner_value_4x5():

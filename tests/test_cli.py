@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 
@@ -319,3 +320,432 @@ def test_remaining_format_branches(capsys):
         capsys, "bruteforce", "--s", "3", "--t", "4", "--all", "--format", "text"
     )
     assert code == 0 and "all (3,4)-cores: 5" in out
+
+
+# Exact stdout of every command in each --format, from small inputs, in the
+# order json, csv, text; the default format is json except for sweep and
+# identities, whose default is csv.
+BY_FORMAT = [
+    (
+        "stats --s 8 --t 11",
+        0,
+        (
+            '{"s":8,"t":11,"m":4,"n":5,"count":126,"total":7350,'
+            '"average":{"num":175,"den":3},"max":315}\n'
+        ),
+        "8,11,126,7350,175,3,315\n",
+        (
+            "self-conjugate (8,11)-cores: count=126 total=7350 average=175/3 "
+            "max=315\n"
+        ),
+    ),
+    (
+        "enumerate --s 3 --t 4",
+        0,
+        (
+            '{"mu":[],"partition":[3,1,1],"size":5}\n'
+            '{"mu":[1],"partition":[],"size":0}\n'
+            '{"mu":[2],"partition":[1],"size":1}\n'
+        ),
+        (
+            "5,3 1 1,\n"
+            "0,,1\n"
+            "1,1,2\n"
+        ),
+        (
+            "mu=[] -> (3, 1, 1) size=5\n"
+            "mu=[1] -> () size=0\n"
+            "mu=[2] -> (1) size=1\n"
+        ),
+    ),
+    (
+        "map --s 8 --t 11 --path [4,3,3,2]",
+        0,
+        (
+            '{"s":8,"t":11,"m":4,"n":5,"mu":[4,3,3,2],"steps":"RRURUURUR",'
+            '"partition":[7,5,5,3,3,1,1],"hooks":[13,7,5],"size":25}\n'
+        ),
+        "8,11,4 3 3 2,RRURUURUR,7 5 5 3 3 1 1,13 7 5,25\n",
+        (
+            "path mu=[4, 3, 3, 2] steps=RRURUURUR\n"
+            "partition (7, 5, 5, 3, 3, 1, 1) size=25\n"
+            "diagonal hooks [13, 7, 5]\n"
+            "array (above-path cells bracketed):\n"
+            "[ 69] [ 53] [ 37] [ 21]    5 \n"
+            "[ 47] [ 31] [ 15]   -1   -17 \n"
+            "[ 25] [  9] [ -7]  -23   -39 \n"
+            "[  3] [-13]  -29   -45   -61 \n"
+            "▪▪▪▪▪▪▪\n"
+            "▪▪▪▪▪\n"
+            "▪▪▪▪▪\n"
+            "▪▪▪\n"
+            "▪▪▪\n"
+            "▪\n"
+            "▪\n"
+        ),
+    ),
+    (
+        "unmap --s 8 --t 11 --partition [7,5,5,3,3,1,1]",
+        0,
+        (
+            '{"s":8,"t":11,"m":4,"n":5,"mu":[4,3,3,2],"steps":"RRURUURUR",'
+            '"partition":[7,5,5,3,3,1,1]}\n'
+        ),
+        "8,11,4 3 3 2,RRURUURUR\n",
+        "mu=[4,3,3,2] steps=RRURUURUR\n",
+    ),
+    (
+        "largest --s 3 --t 4",
+        0,
+        '{"s":3,"t":4,"partition":[3,1,1],"hooks":[5],"size":5}\n',
+        "3,4,5,3 1 1\n",
+        (
+            "largest (3,4)-core, size 5:\n"
+            "▪▪▪\n"
+            "▪\n"
+            "▪\n"
+        ),
+    ),
+    (
+        "verify --s 2 --t 3",
+        0,
+        (
+            '{"s":2,"t":3,"count":2,"total":1,"average":{"num":1,"den":2},'
+            '"max":1,"checks":[{"name":"count_is_binomial","pass":true,"lhs":2,'
+            '"rhs":2},{"name":"total_matches_path_counts","pass":true,"lhs":1,"'
+            'rhs":1},{"name":"total_matches_average_formula","pass":true,"lhs":'
+            '24,"rhs":24},{"name":"max_is_closed_form","pass":true,"lhs":1,"rhs'
+            '":1},{"name":"max_attained_once","pass":true,"lhs":1,"rhs":1},{"na'
+            'me":"staircase_matches_walk","pass":true,"lhs":[2,1,1,1],"rhs":[2,'
+            '1,1,1]},{"name":"largest_core_contains_all","pass":true,"lhs":0,"r'
+            'hs":0}]}\n'
+        ),
+        "2,3,2,1,1,2,1,True\n",
+        (
+            "(2,3): count=2 total=1 average=1/2 max=1\n"
+            "  PASS count_is_binomial: 2 vs 2\n"
+            "  PASS total_matches_path_counts: 1 vs 1\n"
+            "  PASS total_matches_average_formula: 24 vs 24\n"
+            "  PASS max_is_closed_form: 1 vs 1\n"
+            "  PASS max_attained_once: 1 vs 1\n"
+            "  PASS staircase_matches_walk: [2, 1, 1, 1] vs [2, 1, 1, 1]\n"
+            "  PASS largest_core_contains_all: 0 vs 0\n"
+        ),
+    ),
+    (
+        "sweep --max 4",
+        0,
+        (
+            '[{"s":2,"t":3,"count":2,"total":1,"average":{"num":1,"den":2},'
+            '"max":1,"checks":[{"name":"count_is_binomial","pass":true,"lhs":2,'
+            '"rhs":2},{"name":"total_matches_path_counts","pass":true,"lhs":1,"'
+            'rhs":1},{"name":"total_matches_average_formula","pass":true,"lhs":'
+            '24,"rhs":24},{"name":"max_is_closed_form","pass":true,"lhs":1,"rhs'
+            '":1},{"name":"max_attained_once","pass":true,"lhs":1,"rhs":1},{"na'
+            'me":"staircase_matches_walk","pass":true,"lhs":[2,1,1,1],"rhs":[2,'
+            '1,1,1]},{"name":"largest_core_contains_all","pass":true,"lhs":0,"r'
+            'hs":0}]},{"s":3,"t":4,"count":3,"total":6,"average":{"num":2,"den"'
+            ':1},"max":5,"checks":[{"name":"count_is_binomial","pass":true,"lhs'
+            '":3,"rhs":3},{"name":"total_matches_path_counts","pass":true,"lhs"'
+            ':6,"rhs":6},{"name":"total_matches_average_formula","pass":true,"l'
+            'hs":144,"rhs":144},{"name":"max_is_closed_form","pass":true,"lhs":'
+            '5,"rhs":5},{"name":"max_attained_once","pass":true,"lhs":1,"rhs":1'
+            '},{"name":"staircase_matches_walk","pass":true,"lhs":[3,6,5,1],"rh'
+            's":[3,6,5,1]},{"name":"largest_core_contains_all","pass":true,"lhs'
+            '":0,"rhs":0}]}]\n'
+        ),
+        (
+            "s,t,count,total,avg_num,avg_den,max,all_pass\n"
+            "2,3,2,1,1,2,1,True\n"
+            "3,4,3,6,2,1,5,True\n"
+        ),
+        (
+            "s,t,count,total,avg_num,avg_den,max,all_pass\n"
+            "2,3,2,1,1,2,1,True\n"
+            "3,4,3,6,2,1,5,True\n"
+        ),
+    ),
+    (
+        "identities --m 2 --n 3",
+        0,
+        (
+            '[{"m":2,"n":3,"sum_f_ok":true,"sum_if_ok":true,"sum_jf_ok":true,'
+            '"symmetry_ok":true,"recurrence_ok":true}]\n'
+        ),
+        (
+            "m,n,sum_f_ok,sum_if_ok,sum_jf_ok,symmetry_ok,recurrence_ok\n"
+            "2,3,true,true,true,true,true\n"
+        ),
+        (
+            "m,n,sum_f_ok,sum_if_ok,sum_jf_ok,symmetry_ok,recurrence_ok\n"
+            "2,3,true,true,true,true,true\n"
+        ),
+    ),
+    (
+        "identities --max 2",
+        0,
+        (
+            '[{"m":1,"n":1,"sum_f_ok":true,"sum_if_ok":true,"sum_jf_ok":true,'
+            '"symmetry_ok":true,"recurrence_ok":true},{"m":1,"n":2,"sum_f_ok":t'
+            'rue,"sum_if_ok":true,"sum_jf_ok":true,"symmetry_ok":true,"recurren'
+            'ce_ok":true},{"m":2,"n":1,"sum_f_ok":true,"sum_if_ok":true,"sum_jf'
+            '_ok":true,"symmetry_ok":true,"recurrence_ok":true},{"m":2,"n":2,"s'
+            'um_f_ok":true,"sum_if_ok":true,"sum_jf_ok":true,"symmetry_ok":true'
+            ',"recurrence_ok":true}]\n'
+        ),
+        (
+            "m,n,sum_f_ok,sum_if_ok,sum_jf_ok,symmetry_ok,recurrence_ok\n"
+            "1,1,true,true,true,true,true\n"
+            "1,2,true,true,true,true,true\n"
+            "2,1,true,true,true,true,true\n"
+            "2,2,true,true,true,true,true\n"
+        ),
+        (
+            "m,n,sum_f_ok,sum_if_ok,sum_jf_ok,symmetry_ok,recurrence_ok\n"
+            "1,1,true,true,true,true,true\n"
+            "1,2,true,true,true,true,true\n"
+            "2,1,true,true,true,true,true\n"
+            "2,2,true,true,true,true,true\n"
+        ),
+    ),
+    (
+        "bruteforce --s 3 --t 4",
+        0,
+        (
+            '{"s":3,"t":4,"kind":"self-conjugate","count":3,"partitions":[[],'
+            "[1],[3,1,1]]}\n"
+        ),
+        (
+            "self-conjugate (3,4)-cores: 3\n"
+            "()\n"
+            "(1)\n"
+            "(3, 1, 1)\n"
+        ),
+        (
+            "self-conjugate (3,4)-cores: 3\n"
+            "()\n"
+            "(1)\n"
+            "(3, 1, 1)\n"
+        ),
+    ),
+    (
+        "bruteforce --s 4 --t 5 --all",
+        0,
+        '{"s":4,"t":5,"kind":"all","count":14}\n',
+        "all (4,5)-cores: 14\n",
+        "all (4,5)-cores: 14\n",
+    ),
+]
+# Refusals and further single cases: (argv, exit code, stdout, stderr).
+CASES = [
+    ("verify --s 8 --t 11 --format csv", 0, "8,11,126,7350,175,3,315,True\n", ""),
+    (
+        "map --s 8 --t 11 --path RRURUURUR --format text",
+        0,
+        (
+            "path mu=[4, 3, 3, 2] steps=RRURUURUR\n"
+            "partition (7, 5, 5, 3, 3, 1, 1) size=25\n"
+            "diagonal hooks [13, 7, 5]\n"
+            "array (above-path cells bracketed):\n"
+            "[ 69] [ 53] [ 37] [ 21]    5 \n"
+            "[ 47] [ 31] [ 15]   -1   -17 \n"
+            "[ 25] [  9] [ -7]  -23   -39 \n"
+            "[  3] [-13]  -29   -45   -61 \n"
+            "▪▪▪▪▪▪▪\n"
+            "▪▪▪▪▪\n"
+            "▪▪▪▪▪\n"
+            "▪▪▪\n"
+            "▪▪▪\n"
+            "▪\n"
+            "▪\n"
+        ),
+        "",
+    ),
+    (
+        "map --s 3 --t 29 --path [7] --format text",
+        0,
+        (
+            "path mu=[7] steps=RRRRRRRURRRRRRR\n"
+            "partition (7, 5, 3, 2, 2, 1, 1) size=21\n"
+            "diagonal hooks [13, 7, 1]\n"
+            "▪▪▪▪▪▪▪\n"
+            "▪▪▪▪▪\n"
+            "▪▪▪\n"
+            "▪▪\n"
+            "▪▪\n"
+            "▪\n"
+            "▪\n"
+        ),
+        "",
+    ),
+    ("stats --s 4 --t 6", 2, "", "error: not coprime: (4, 6)\n"),
+    (
+        "stats --s 8 --t 11 --budget 10",
+        2,
+        "",
+        (
+            "expected path count: 126\n"
+            "error: enumeration needs 126 paths, over the budget of 10; raise "
+            "the budget to proceed\n"
+        ),
+    ),
+    (
+        "stats --s 8 --t 11 --budget 200 --format csv",
+        0,
+        "8,11,126,7350,175,3,315\n",
+        "expected path count: 126\n",
+    ),
+    ("enumerate --s 4 --t 6 --format csv", 2, "", "error: not coprime: (4, 6)\n"),
+    (
+        "enumerate --s 8 --t 11 --budget 5",
+        2,
+        "",
+        (
+            "expected path count: 126\n"
+            "error: enumeration needs 126 paths, over the budget of 5; raise "
+            "the budget to proceed\n"
+        ),
+    ),
+    (
+        "enumerate --s 3 --t 4 --budget 10 --format text",
+        0,
+        (
+            "mu=[] -> (3, 1, 1) size=5\n"
+            "mu=[1] -> () size=0\n"
+            "mu=[2] -> (1) size=1\n"
+        ),
+        "expected path count: 3\n",
+    ),
+    ("map --s 4 --t 6 --path []", 2, "", "error: not coprime: (4, 6)\n"),
+    (
+        'map --s 8 --t 11 --path \'{"m":4,"n":5,"mu":[4,3,3,2]}\' --format csv',
+        0,
+        "8,11,4 3 3 2,RRURUURUR,7 5 5 3 3 1 1,13 7 5,25\n",
+        "",
+    ),
+    (
+        "map --s 8 --t 11 --path [1,2]",
+        2,
+        "",
+        "error: rows must be weakly decreasing, got (1, 2)\n",
+    ),
+    (
+        "map --s 8 --t 11 --path RRX --format text",
+        2,
+        "",
+        "error: step word may contain only U and R: 'RRX'\n",
+    ),
+    (
+        'map --s 8 --t 11 --path \'{"m":1,"n":1,"mu":[]}\'',
+        2,
+        "",
+        "error: path box 1x1 does not match the 4x5 box of (s, t)\n",
+    ),
+    (
+        "unmap --s 8 --t 11 --partition oops --format csv",
+        2,
+        "",
+        (
+            "error: partition must be a JSON array of integers: Expecting "
+            "value: line 1 column 1 (char 0)\n"
+        ),
+    ),
+    (
+        "unmap --s 8 --t 11 --partition [2] --format text",
+        2,
+        "",
+        "error: not in the bijection image: (2) is not self-conjugate\n",
+    ),
+    (
+        "unmap --s 8 --t 11 --partition [true]",
+        2,
+        "",
+        "error: partition must be a JSON array of integers\n",
+    ),
+    ("largest --s 6 --t 9 --format text", 2, "", "error: not coprime: (6, 9)\n"),
+    ("verify --s 4 --t 6 --format text", 2, "", "error: not coprime: (4, 6)\n"),
+    (
+        "verify --s 8 --t 11 --budget 10 --format csv",
+        2,
+        "",
+        (
+            "expected path count: 126\n"
+            "error: enumeration needs 126 paths, over the budget of 10; raise "
+            "the budget to proceed\n"
+        ),
+    ),
+    (
+        "verify --s 2 --t 3 --budget 10 --format csv",
+        0,
+        "2,3,2,1,1,2,1,True\n",
+        "expected path count: 2\n",
+    ),
+    (
+        "sweep --max 13 --budget 10",
+        2,
+        "",
+        (
+            "error: enumeration needs 20 paths, over the budget of 10; raise "
+            "the budget to proceed\n"
+        ),
+    ),
+    (
+        "sweep --max 4 --budget 200 --format text",
+        0,
+        (
+            "s,t,count,total,avg_num,avg_den,max,all_pass\n"
+            "2,3,2,1,1,2,1,True\n"
+            "3,4,3,6,2,1,5,True\n"
+        ),
+        "",
+    ),
+    ("identities", 2, "", "error: identities needs either --m and --n, or --max\n"),
+    (
+        "identities --m 3 --format text",
+        2,
+        "",
+        "error: identities needs either --m and --n, or --max\n",
+    ),
+    ("bruteforce --s 4 --t 6 --format text", 2, "", "error: not coprime: (4, 6)\n"),
+    (
+        "bruteforce --s 4 --t 5 --budget 1",
+        2,
+        "",
+        (
+            "error: oracle universe needs max core size 15, over the budget of "
+            "1; raise the budget to proceed\n"
+        ),
+    ),
+    (
+        "bruteforce --s 4 --t 5 --all --budget 1 --format csv",
+        2,
+        "",
+        (
+            "error: oracle universe needs max core size 15, over the budget of "
+            "1; raise the budget to proceed\n"
+        ),
+    ),
+]
+
+
+DEFAULT_FORMAT = {"sweep": "csv", "identities": "csv"}
+
+
+def _golden_cases():
+    for argv, code, *outs in BY_FORMAT:
+        default = DEFAULT_FORMAT.get(argv.split()[0], "json")
+        for fmt, out in zip(("json", "csv", "text"), outs):
+            yield f"{argv} --format {fmt}", code, out, ""
+            if fmt == default:
+                yield argv, code, out, ""
+    yield from CASES
+
+
+GOLDEN = list(_golden_cases())
+
+
+@pytest.mark.parametrize("argv, code, out, err", GOLDEN, ids=[case[0] for case in GOLDEN])
+def test_golden_output(capsys, monkeypatch, argv, code, out, err):
+    # map --format text shows its array only when it fits the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *shlex.split(argv)) == (code, out, err)

@@ -17,7 +17,6 @@ from corepaths import (
     iter_paths,
     largest_core,
     report_all_pass,
-    report_csv_row,
     total_size_from_path_counts,
     verify_pair,
 )
@@ -309,11 +308,6 @@ def test_containment_check_counts_what_contains_counts(monkeypatch):
         assert check["lhs"] == literal
         assert check["pass"] == (literal == 0)
         assert check["pass"] == (small == largest_core(params))
-
-
-def test_report_csv_row():
-    row = report_csv_row(verify_pair(8, 11))
-    assert row == "8,11,126,7350,175,3,315,True"
 
 
 def test_coprime_pairs():

@@ -1,10 +1,15 @@
 """Command-line front end.
 
-Subcommands: stats, enumerate, map, unmap, largest, verify, sweep,
-identities, bruteforce.  All numeric output is exact (averages appear as
-num/den pairs).  Exit status: 0 on success and on verify/sweep with every
-check passing, 1 when any check fails, 2 on usage errors, 141 (128 +
-SIGPIPE) when the reader of stdout goes away before the output is written.
+Each command is one row of ``COMMANDS``: help text, arguments, a run function
+``run(args) -> (exit code, payload)``, views and ``--budget``.  The payload is
+the JSON-ready result, and a view renders it for one ``--format``.  ``main``
+runs the command and writes the one view asked for, so a new command is one
+row plus its run function.
+
+All numeric output is exact (averages appear as num/den pairs).  Exit
+status: 0 on success and on verify/sweep with every check passing, 1 when
+any check fails, 2 on usage errors, 141 (128 + SIGPIPE) when the reader of
+stdout goes away before the output is written.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .enumeration import (
     enumerated_stats,
     iter_paths,
     report_all_pass,
-    report_csv_row,
     verify_pair,
 )
 from .identities import identity_report
@@ -43,6 +47,24 @@ from .partitions import Partition
 
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _csv(*fields) -> str:
+    return ",".join(map(str, fields))
+
+
+def _cells(values) -> str:
+    """A list field of a CSV row: its items separated by spaces."""
+    return " ".join(map(str, values))
+
+
+def _each(view):
+    """A view of a payload that is a list: one line per item."""
+    return lambda items: "\n".join(map(view, items))
+
+
+def _partition(rows) -> Partition:
+    return Partition(tuple(rows))
 
 
 def _is_int_list(data) -> bool:
@@ -87,328 +109,231 @@ def _parse_path(text: str, m: int, n: int) -> LatticePath:
     return LatticePath.from_steps(text, m, n)
 
 
-def _print(args, text: str) -> None:
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            # a bad --output is a usage error, not a failed check
-            raise ValueError(f"cannot write --output {args.output}: {exc.strerror}")
-    else:
-        print(text)
-
-
-def _maybe_announce_budget(args, params: CoreParams) -> None:
-    # an explicit budget override states the job size up front
-    if getattr(args, "budget", None) is not None:
+def _budget(args, params: CoreParams | None = None) -> int:
+    """--budget, else the command's default.  Given the (s, t) of a path
+    enumeration, an explicit budget first states the expected path count."""
+    if args.budget is None:
+        return args.budget_default
+    if params is not None:
         expected = math.comb(params.m + params.n, params.m)
         print(f"expected path count: {describe_count(expected)}", file=sys.stderr)
+    return args.budget
 
 
-def _average_json(stats) -> dict:
-    return {"num": stats.average_size.numerator, "den": stats.average_size.denominator}
+def _stats_fields(p) -> list:
+    """s, t, count, total, average num and den, max of stats or a verify report."""
+    avg = p["average"]
+    return [p["s"], p["t"], p["count"], p["total"], avg["num"], avg["den"], p["max"]]
 
 
-def cmd_stats(args) -> int:
+def _stats_summary(p) -> str:
+    avg = p["average"]
+    return f"count={p['count']} total={p['total']} average={avg['num']}/{avg['den']} max={p['max']}"
+
+
+def _run_stats(args):
     params = CoreParams(args.s, args.t)
-    _maybe_announce_budget(args, params)
-    budget = args.budget if args.budget is not None else DEFAULT_PATH_BUDGET
-    stats = enumerated_stats(args.s, args.t, budget=budget)
-    if args.format == "json":
-        _print(
-            args,
-            _dumps(
-                {
-                    "s": args.s,
-                    "t": args.t,
-                    "m": params.m,
-                    "n": params.n,
-                    "count": stats.count,
-                    "total": stats.total_size,
-                    "average": _average_json(stats),
-                    "max": stats.max_size,
-                }
-            ),
-        )
-    elif args.format == "csv":
-        _print(
-            args,
-            ",".join(
-                str(v)
-                for v in (
-                    args.s,
-                    args.t,
-                    stats.count,
-                    stats.total_size,
-                    stats.average_size.numerator,
-                    stats.average_size.denominator,
-                    stats.max_size,
-                )
-            ),
-        )
-    else:
-        avg = stats.average_size
-        _print(
-            args,
-            f"self-conjugate ({args.s},{args.t})-cores: count={stats.count} "
-            f"total={stats.total_size} average={avg.numerator}/{avg.denominator} "
-            f"max={stats.max_size}",
-        )
-    return 0
+    stats = enumerated_stats(args.s, args.t, budget=_budget(args, params))
+    avg = stats.average_size
+    return 0, {
+        "s": args.s, "t": args.t, "m": params.m, "n": params.n,
+        "count": stats.count, "total": stats.total_size,
+        "average": {"num": avg.numerator, "den": avg.denominator}, "max": stats.max_size,
+    }
 
 
-def cmd_enumerate(args) -> int:
+def _run_enumerate(args):
     params = CoreParams(args.s, args.t)
-    _maybe_announce_budget(args, params)
-    check_path_budget(
-        params, args.budget if args.budget is not None else DEFAULT_PATH_BUDGET
-    )
-    lines = []
-    for path in iter_paths(params.m, params.n):
-        core = core_from_path(path, params)
-        if args.format == "json":
-            lines.append(
-                _dumps(
-                    {
-                        "mu": list(path.mu.rows),
-                        "partition": list(core.rows),
-                        "size": core.size,
-                    }
-                )
-            )
-        elif args.format == "csv":
-            lines.append(
-                f"{core.size},{' '.join(map(str, core.rows))},"
-                f"{' '.join(map(str, path.mu.rows))}"
-            )
-        else:
-            lines.append(f"mu={list(path.mu.rows)} -> {core} size={core.size}")
-    _print(args, "\n".join(lines))
-    return 0
+    check_path_budget(params, _budget(args, params))
+    cores = ((path, core_from_path(path, params)) for path in iter_paths(params.m, params.n))
+    return 0, [{"mu": list(p.mu.rows), "partition": list(c.rows), "size": c.size} for p, c in cores]
 
 
-def _render_array(arr, path) -> str:
-    width = max(len(str(arr.entry(i, j))) for i in range(1, arr.m + 1) for j in range(1, arr.n + 1))
-    lines = []
-    for i in range(1, arr.m + 1):
-        cells = []
-        for j in range(1, arr.n + 1):
-            txt = f"{arr.entry(i, j):>{width}}"
-            cells.append(f"[{txt}]" if path.is_above(i, j) else f" {txt} ")
-        lines.append(" ".join(cells))
+def _path_payload(params: CoreParams, path: LatticePath, core: Partition) -> dict:
+    return {
+        "s": params.s, "t": params.t, "m": params.m, "n": params.n,
+        "mu": list(path.mu.rows), "steps": path.steps(), "partition": list(core.rows),
+    }
+
+
+def _run_map(args):
+    params = CoreParams(args.s, args.t)
+    path = _parse_path(args.path, params.m, params.n)
+    hooks = path_hook_set(path, build_array(args.s, args.t))
+    core = core_from_path(path, params)
+    return 0, {**_path_payload(params, path, core), "hooks": list(hooks), "size": core.size}
+
+
+def _map_csv(p) -> str:
+    mu, partition, hooks = (_cells(p[key]) for key in ("mu", "partition", "hooks"))
+    return _csv(p["s"], p["t"], mu, p["steps"], partition, hooks, p["size"])
+
+
+def _map_text(p) -> str:
+    core = _partition(p["partition"])
+    lines = [f"path mu={p['mu']} steps={p['steps']}", f"partition {core} size={p['size']}",
+             f"diagonal hooks {p['hooks']}"]
+    entries = build_array(p["s"], p["t"]).entries
+    w = max(len(str(v)) for row in entries for v in row)
+    # the array is shown only when it fits the terminal
+    if p["n"] * (w + 3) <= shutil.get_terminal_size().columns:
+        lines.append("array (above-path cells bracketed):")
+        for row, above in zip(entries, p["mu"] + [0] * (p["m"] - len(p["mu"]))):
+            cells = (f"[{v:>{w}}]" if j < above else f" {v:>{w}} " for j, v in enumerate(row))
+            lines.append(" ".join(cells))
+    lines.append(core.ferrers())
     return "\n".join(lines)
 
 
-def cmd_map(args) -> int:
-    params = CoreParams(args.s, args.t)
-    path = _parse_path(args.path, params.m, params.n)
-    arr = build_array(args.s, args.t)
-    hooks = path_hook_set(path, arr)
-    core = core_from_path(path, params)
-    payload = {
-        "s": args.s,
-        "t": args.t,
-        "m": params.m,
-        "n": params.n,
-        "mu": list(path.mu.rows),
-        "steps": path.steps(),
-        "partition": list(core.rows),
-        "hooks": list(hooks),
-        "size": core.size,
-    }
-    if args.format == "json":
-        _print(args, _dumps(payload))
-    elif args.format == "csv":
-        _print(
-            args,
-            ",".join(
-                (
-                    str(args.s),
-                    str(args.t),
-                    " ".join(map(str, path.mu.rows)),
-                    path.steps(),
-                    " ".join(map(str, core.rows)),
-                    " ".join(map(str, hooks)),
-                    str(core.size),
-                )
-            ),
-        )
-    else:
-        lines = [
-            f"path mu={list(path.mu.rows)} steps={path.steps()}",
-            f"partition {core} size={core.size}",
-            f"diagonal hooks {list(hooks)}",
-        ]
-        cell_width = max(len(str(arr.entry(i, j))) for i in range(1, arr.m + 1) for j in range(1, arr.n + 1))
-        if arr.n * (cell_width + 3) <= shutil.get_terminal_size().columns:
-            lines.append("array (above-path cells bracketed):")
-            lines.append(_render_array(arr, path))
-        lines.append(core.ferrers())
-        _print(args, "\n".join(lines))
-    return 0
-
-
-def cmd_unmap(args) -> int:
+def _run_unmap(args):
     params = CoreParams(args.s, args.t)
     core = _parse_partition(args.partition)
-    path = path_from_core(core, params)
-    payload = {
-        "s": args.s,
-        "t": args.t,
-        "m": params.m,
-        "n": params.n,
-        "mu": list(path.mu.rows),
-        "steps": path.steps(),
-        "partition": list(core.rows),
+    return 0, _path_payload(params, path_from_core(core, params), core)
+
+
+def _run_largest(args):
+    core = largest_core(CoreParams(args.s, args.t))
+    return 0, {
+        "s": args.s, "t": args.t, "partition": list(core.rows),
+        "hooks": list(core.diagonal_hooks()), "size": core.size,
     }
-    if args.format == "json":
-        _print(args, _dumps(payload))
-    elif args.format == "csv":
-        _print(
-            args,
-            ",".join(
-                (
-                    str(args.s),
-                    str(args.t),
-                    " ".join(map(str, path.mu.rows)),
-                    path.steps(),
-                )
-            ),
-        )
-    else:
-        _print(args, f"mu={_dumps(list(path.mu.rows))} steps={path.steps()}")
-    return 0
 
 
-def cmd_largest(args) -> int:
+def _run_verify(args):
     params = CoreParams(args.s, args.t)
-    core = largest_core(params)
-    if args.format == "json":
-        _print(
-            args,
-            _dumps(
-                {
-                    "s": args.s,
-                    "t": args.t,
-                    "partition": list(core.rows),
-                    "hooks": list(core.diagonal_hooks()),
-                    "size": core.size,
-                }
-            ),
-        )
-    elif args.format == "csv":
-        _print(args, f"{args.s},{args.t},{core.size},{' '.join(map(str, core.rows))}")
-    else:
-        _print(
-            args,
-            f"largest ({args.s},{args.t})-core, size {core.size}:\n{core.ferrers()}",
-        )
-    return 0
+    report = verify_pair(args.s, args.t, budget=_budget(args, params))
+    return (0 if report_all_pass(report) else 1), report
 
 
-def cmd_verify(args) -> int:
-    params = CoreParams(args.s, args.t)
-    _maybe_announce_budget(args, params)
-    budget = args.budget if args.budget is not None else DEFAULT_PATH_BUDGET
-    report = verify_pair(args.s, args.t, budget=budget)
-    ok = report_all_pass(report)
-    if args.format == "json":
-        _print(args, _dumps(report))
-    elif args.format == "csv":
-        _print(args, report_csv_row(report))
-    else:
-        lines = [
-            f"({args.s},{args.t}): count={report['count']} total={report['total']} "
-            f"average={report['average']['num']}/{report['average']['den']} "
-            f"max={report['max']}"
-        ]
-        for check in report["checks"]:
-            word = "PASS" if check["pass"] else "FAIL"
-            lines.append(f"  {word} {check['name']}: {check['lhs']} vs {check['rhs']}")
-        _print(args, "\n".join(lines))
-    return 0 if ok else 1
+def _report_row(report) -> str:
+    """One verify/sweep CSV row: s,t,count,total,avg_num,avg_den,max,all_pass."""
+    return _csv(*_stats_fields(report), report_all_pass(report))
 
 
-def cmd_sweep(args) -> int:
-    budget = args.budget if args.budget is not None else DEFAULT_PATH_BUDGET
-    reports = []
-    for s, t in coprime_pairs(args.max):
-        reports.append(verify_pair(s, t, budget=budget))
-    ok = all(report_all_pass(r) for r in reports)
-    if args.format == "json":
-        _print(args, _dumps(reports))
-    else:
-        header = "s,t,count,total,avg_num,avg_den,max,all_pass"
-        _print(args, "\n".join([header] + [report_csv_row(r) for r in reports]))
-    return 0 if ok else 1
+def _verify_text(report) -> str:
+    lines = [f"({report['s']},{report['t']}): {_stats_summary(report)}"]
+    for check in report["checks"]:
+        word = "PASS" if check["pass"] else "FAIL"
+        lines.append(f"  {word} {check['name']}: {check['lhs']} vs {check['rhs']}")
+    return "\n".join(lines)
 
 
-def cmd_identities(args) -> int:
-    if args.max is None and (args.m is None or args.n is None):
-        raise ValueError("identities needs either --m and --n, or --max")
-    if args.max is not None:
-        boxes = [(m, n) for m in range(1, args.max + 1) for n in range(1, args.max + 1)]
-    else:
+def _run_sweep(args):
+    if args.max < 3:
+        raise ValueError(f"--max must be at least 3, as the least pair is (2, 3); got {args.max}")
+    budget = _budget(args)
+    reports = [verify_pair(s, t, budget=budget) for s, t in coprime_pairs(args.max)]
+    return (0 if all(map(report_all_pass, reports)) else 1), reports
+
+
+def _sweep_csv(reports) -> str:
+    return "\n".join(["s,t,count,total,avg_num,avg_den,max,all_pass", *map(_report_row, reports)])
+
+
+_IDENTITY_CHECKS = ("sum_f_ok", "sum_if_ok", "sum_jf_ok", "symmetry_ok", "recurrence_ok")
+
+
+def _run_identities(args):
+    if args.max is None:
+        if args.m is None or args.n is None:
+            raise ValueError("identities needs either --m and --n, or --max")
         boxes = [(args.m, args.n)]
-    reports = [identity_report(m, n) for m, n in boxes]
-    ok = all(
-        r["sum_f_ok"] and r["sum_if_ok"] and r["sum_jf_ok"] and r["symmetry_ok"] and r["recurrence_ok"]
-        for r in reports
-    )
-    if args.format == "json":
-        _print(args, _dumps(reports))
+    elif args.m is not None or args.n is not None:
+        raise ValueError("--max cannot be combined with --m or --n")
+    elif args.max < 1:
+        raise ValueError(f"--max must be at least 1, got {args.max}")
     else:
-        header = "m,n,sum_f_ok,sum_if_ok,sum_jf_ok,symmetry_ok,recurrence_ok"
-        rows = [
-            ",".join(
-                [str(r["m"]), str(r["n"])]
-                + [
-                    str(r[key]).lower()
-                    for key in (
-                        "sum_f_ok",
-                        "sum_if_ok",
-                        "sum_jf_ok",
-                        "symmetry_ok",
-                        "recurrence_ok",
-                    )
-                ]
-            )
-            for r in reports
-        ]
-        _print(args, "\n".join([header] + rows))
-    return 0 if ok else 1
+        boxes = [(m, n) for m in range(1, args.max + 1) for n in range(1, args.max + 1)]
+    reports = [identity_report(m, n) for m, n in boxes]
+    ok = all(r[key] for r in reports for key in _IDENTITY_CHECKS)
+    return (0 if ok else 1), reports
 
 
-def cmd_bruteforce(args) -> int:
-    budget = args.budget if args.budget is not None else DEFAULT_ORACLE_BUDGET
+def _identities_csv(reports) -> str:
+    rows = [_csv(r["m"], r["n"], *(str(r[k]).lower() for k in _IDENTITY_CHECKS)) for r in reports]
+    return "\n".join([_csv("m", "n", *_IDENTITY_CHECKS), *rows])
+
+
+def _run_bruteforce(args):
+    budget = _budget(args)
     if args.all:
         count = brute_force_all_cores_count(args.s, args.t, budget=budget)
-        payload = {"s": args.s, "t": args.t, "kind": "all", "count": count}
-        if args.format == "json":
-            _print(args, _dumps(payload))
-        else:
-            _print(args, f"all ({args.s},{args.t})-cores: {count}")
-        return 0
+        return 0, {"s": args.s, "t": args.t, "kind": "all", "count": count}
     cores = brute_force_sc_cores(args.s, args.t, budget=budget)
-    if args.format == "json":
-        _print(
-            args,
-            _dumps(
-                {
-                    "s": args.s,
-                    "t": args.t,
-                    "kind": "self-conjugate",
-                    "count": len(cores),
-                    "partitions": [list(p.rows) for p in cores],
-                }
-            ),
-        )
-    else:
-        lines = [f"self-conjugate ({args.s},{args.t})-cores: {len(cores)}"]
-        lines.extend(str(p) for p in cores)
-        _print(args, "\n".join(lines))
-    return 0
+    return 0, {
+        "s": args.s, "t": args.t, "kind": "self-conjugate", "count": len(cores),
+        "partitions": [list(p.rows) for p in cores],
+    }
+
+
+def _bruteforce_text(p) -> str:
+    lines = [f"{p['kind']} ({p['s']},{p['t']})-cores: {p['count']}"]
+    lines.extend(str(_partition(rows)) for rows in p.get("partitions", ()))
+    return "\n".join(lines)
+
+
+_PAIR = [("--s", {"type": int, "required": True}), ("--t", {"type": int, "required": True})]
+_PATH_BUDGET = (DEFAULT_PATH_BUDGET, "path count limit; if set, the path count is printed first")
+
+# name: (help, arguments, run, {format: view}, --budget (default, help) or None);
+# the first view is the default --format
+COMMANDS = {
+    "stats": (
+        "count/total/average/max of SC(s,t) by an O(mn) DP over the path box", _PAIR, _run_stats,
+        {"json": _dumps, "csv": lambda p: _csv(*_stats_fields(p)),
+         "text": lambda p: f"self-conjugate ({p['s']},{p['t']})-cores: {_stats_summary(p)}"},
+        _PATH_BUDGET,
+    ),
+    "enumerate": (
+        "list every self-conjugate (s,t)-core", _PAIR, _run_enumerate,
+        {"json": _each(_dumps),
+         "csv": _each(lambda c: _csv(c["size"], _cells(c["partition"]), _cells(c["mu"]))),
+         "text": _each(lambda c: f"mu={c['mu']} -> {_partition(c['partition'])} size={c['size']}")},
+        _PATH_BUDGET,
+    ),
+    "map": (
+        "lattice path -> partition",
+        _PAIR + [("--path", {"required": True, "help": "above-partition as a JSON array "
+                             "(e.g. '[4,3,3,2]') or a UR step word"})], _run_map,
+        {"json": _dumps, "csv": _map_csv, "text": _map_text}, None,
+    ),
+    "unmap": (
+        "partition -> lattice path",
+        _PAIR + [("--partition", {"required": True, "help": "JSON array, e.g. '[7,5,5,3,3,1,1]'"})],
+        _run_unmap,
+        {"json": _dumps, "csv": lambda p: _csv(p["s"], p["t"], _cells(p["mu"]), p["steps"]),
+         "text": lambda p: f"mu={_dumps(p['mu'])} steps={p['steps']}"}, None,
+    ),
+    "largest": (
+        "the largest (s,t)-core", _PAIR, _run_largest,
+        {"json": _dumps, "csv": lambda p: _csv(p["s"], p["t"], p["size"], _cells(p["partition"])),
+         "text": lambda p: f"largest ({p['s']},{p['t']})-core, size {p['size']}:\n"
+                           f"{_partition(p['partition']).ferrers()}"}, None,
+    ),
+    "verify": (
+        "run every identity check for one pair", _PAIR, _run_verify,
+        {"json": _dumps, "csv": _report_row, "text": _verify_text}, _PATH_BUDGET,
+    ),
+    "sweep": (
+        "verify every coprime pair s < t <= --max", [("--max", {"type": int, "required": True})],
+        _run_sweep,
+        {"csv": _sweep_csv, "json": _dumps, "text": _sweep_csv},
+        (DEFAULT_PATH_BUDGET, "path count limit for each pair"),
+    ),
+    "identities": (
+        "lattice-path counting identity checks",
+        [("--m", {"type": int}), ("--n", {"type": int}),
+         ("--max", {"type": int, "help": "sweep all boxes with m, n <= MAX"})], _run_identities,
+        {"csv": _identities_csv, "json": _dumps, "text": _identities_csv}, None,
+    ),
+    "bruteforce": (
+        "independent brute-force core search",
+        _PAIR + [("--all", {"action": "store_true",
+                            "help": "count all cores, not only self-conjugate"})], _run_bruteforce,
+        {"json": _dumps, "csv": _bruteforce_text, "text": _bruteforce_text},
+        (DEFAULT_ORACLE_BUDGET, "largest core size the search may cover"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,89 +345,34 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, budget_default):
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    for name, (help_text, arguments, _, views, budget) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.add_argument("--format", choices=("json", "csv", "text"), default=next(iter(views)))
         p.add_argument("--output", help="write output to FILE instead of stdout")
-        p.add_argument(
-            "--budget",
-            type=int,
-            default=None,
-            help=f"path/size budget guard (default {budget_default}); an explicit "
-            "value announces the expected work before proceeding",
-        )
-
-    def add_pair(p):
-        p.add_argument("--s", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
-
-    p = sub.add_parser(
-        "stats",
-        help="count/total/average/max of SC(s,t) by an O(mn) DP over the path box",
-    )
-    add_pair(p)
-    add_common(p, DEFAULT_PATH_BUDGET)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("enumerate", help="list every self-conjugate (s,t)-core")
-    add_pair(p)
-    add_common(p, DEFAULT_PATH_BUDGET)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("map", help="lattice path -> partition")
-    add_pair(p)
-    p.add_argument(
-        "--path",
-        required=True,
-        help="above-partition as a JSON array (e.g. '[4,3,3,2]') or a UR step word",
-    )
-    add_common(p, DEFAULT_PATH_BUDGET)
-    p.set_defaults(func=cmd_map)
-
-    p = sub.add_parser("unmap", help="partition -> lattice path")
-    add_pair(p)
-    p.add_argument("--partition", required=True, help="JSON array, e.g. '[7,5,5,3,3,1,1]'")
-    add_common(p, DEFAULT_PATH_BUDGET)
-    p.set_defaults(func=cmd_unmap)
-
-    p = sub.add_parser("largest", help="the largest (s,t)-core")
-    add_pair(p)
-    add_common(p, DEFAULT_PATH_BUDGET)
-    p.set_defaults(func=cmd_largest)
-
-    p = sub.add_parser("verify", help="run every identity check for one pair")
-    add_pair(p)
-    add_common(p, DEFAULT_PATH_BUDGET)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("sweep", help="verify every coprime pair s < t <= --max")
-    p.add_argument("--max", type=int, required=True)
-    add_common(p, DEFAULT_PATH_BUDGET)
-    p.set_defaults(func=cmd_sweep)
-    # sweep defaults to the CSV row form
-    p.set_defaults(format="csv")
-
-    p = sub.add_parser("identities", help="lattice-path counting identity checks")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--max", type=int, help="sweep all boxes with m, n <= MAX")
-    add_common(p, DEFAULT_PATH_BUDGET)
-    p.set_defaults(func=cmd_identities, format="csv")
-
-    p = sub.add_parser("bruteforce", help="independent brute-force core search")
-    add_pair(p)
-    p.add_argument("--all", action="store_true", help="count all cores, not only self-conjugate")
-    add_common(p, DEFAULT_ORACLE_BUDGET)
-    p.set_defaults(func=cmd_bruteforce)
-
+        if budget is not None:
+            default, budget_help = budget
+            p.add_argument("--budget", type=int, help=f"{budget_help} (default {default})")
+            p.set_defaults(budget_default=default)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run, views = COMMANDS[args.command][2:4]
     try:
-        code = args.func(args)
+        code, payload = run(args)
+        text = views[args.format](payload)
+        if args.output:
+            try:
+                with open(args.output, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                # a bad --output is a usage error, not a failed check
+                raise ValueError(f"cannot write --output {args.output}: {exc.strerror}")
+        else:
+            print(text)
         # a closed pipe must surface here, not in the interpreter's flush
         # at exit, where it would print a traceback and exit 120
         sys.stdout.flush()

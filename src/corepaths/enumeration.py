@@ -371,20 +371,3 @@ def verify_pair(
 
 def report_all_pass(report: dict) -> bool:
     return all(c["pass"] for c in report["checks"])
-
-
-def report_csv_row(report: dict) -> str:
-    """One sweep line: s,t,count,total,avg_num,avg_den,max,all_pass."""
-    return ",".join(
-        str(v)
-        for v in (
-            report["s"],
-            report["t"],
-            report["count"],
-            report["total"],
-            report["average"]["num"],
-            report["average"]["den"],
-            report["max"],
-            report_all_pass(report),
-        )
-    )

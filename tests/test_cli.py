@@ -229,6 +229,35 @@ def test_identities_requires_arguments(capsys):
     assert "--m" in err or "--max" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "map --s 8 --t 11 --path [4,3,3,2] --budget 5",
+        "unmap --s 8 --t 11 --partition [7,5,5,3,3,1,1] --budget 5",
+        "largest --s 3 --t 4 --budget 5",
+        "identities --m 3 --n 4 --budget 5",
+    ],
+)
+def test_budget_is_refused_where_no_budget_applies(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(shlex.split(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ("identities --m 3 --n 4 --max 2", "error: --max cannot be combined with --m or --n\n"),
+        ("identities --max 0", "error: --max must be at least 1, got 0\n"),
+        ("sweep --max 1", "error: --max must be at least 3, as the least pair is (2, 3); got 1\n"),
+    ],
+    ids=["identities-max-with-box", "identities-max-0", "sweep-max-1"],
+)
+def test_identities_and_sweep_refuse_bad_arguments(capsys, argv, err):
+    assert run(capsys, *argv.split()) == (2, "", err)
+
+
 def test_bruteforce_sc(capsys):
     code, out, _ = run(capsys, "bruteforce", "--s", "3", "--t", "4")
     assert code == 0

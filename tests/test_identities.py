@@ -4,8 +4,6 @@ import pytest
 
 from corepaths import (
     below_count_table,
-    below_count_table_by_enumeration,
-    column_pair_total,
     identity_report,
     row_weighted_recurrence_holds,
     sum_below,
@@ -16,7 +14,11 @@ from corepaths import (
     sum_below_times_row_closed,
     symmetry_holds,
 )
-from corepaths.identities import path_prefix_table
+from corepaths.identities import (
+    below_count_table_by_enumeration,
+    column_pair_total,
+    path_prefix_table,
+)
 
 
 def test_table_tiny_boxes():

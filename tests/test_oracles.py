@@ -17,11 +17,11 @@ from corepaths import (
     iter_partitions,
     iter_partitions_up_to,
     iter_paths,
-    iter_subpartitions,
     largest_core,
     partition_from_diagonal_hooks,
     survey_partitions,
 )
+from corepaths.oracles import iter_subpartitions
 
 
 def _reference_partitions(n, cap=None):

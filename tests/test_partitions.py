@@ -8,12 +8,12 @@ from corepaths import (
     diagonal_hooks_within,
     hook_set_is_t_core,
     is_t_core,
-    is_t_core_scan,
     iter_partitions,
     iter_partitions_up_to,
     partition_from_diagonal_hooks,
     validate_hook_set,
 )
+from corepaths.partitions import is_t_core_scan
 
 FIG1 = Partition((7, 5, 5, 3, 3, 1, 1))
 

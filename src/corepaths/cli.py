@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    run, views = COMMANDS[args.command][2:4]
+    _, _, run, views, _ = COMMANDS[args.command]
     try:
         code, payload = run(args)
         text = views[args.format](payload)

@@ -110,10 +110,13 @@ def _parse_path(text: str, m: int, n: int) -> LatticePath:
 
 
 def _budget(args, params: CoreParams | None = None) -> int:
-    """--budget, else the command's default.  Given the (s, t) of a path
-    enumeration, an explicit budget first states the expected path count."""
+    """--budget, else the command's default; a budget below 1 is refused.
+    Given the (s, t) of a path enumeration, an explicit budget first states
+    the expected path count."""
     if args.budget is None:
         return args.budget_default
+    if args.budget < 1:
+        raise ValueError(f"--budget must be at least 1, got {args.budget}")
     if params is not None:
         expected = math.comb(params.m + params.n, params.m)
         print(f"expected path count: {describe_count(expected)}", file=sys.stderr)
@@ -330,7 +333,8 @@ COMMANDS = {
         "independent brute-force core search",
         _PAIR + [("--all", {"action": "store_true",
                             "help": "count all cores, not only self-conjugate"})], _run_bruteforce,
-        {"json": _dumps, "csv": _bruteforce_text, "text": _bruteforce_text},
+        {"json": _dumps, "csv": lambda p: _csv(p["s"], p["t"], p["kind"], p["count"]),
+         "text": _bruteforce_text},
         (DEFAULT_ORACLE_BUDGET, "largest core size the search may cover"),
     ),
 }

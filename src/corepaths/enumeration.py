@@ -6,11 +6,9 @@ Fractions throughout.  A core's size is the largest size minus the array
 entries above its path, and the rows of the above-partition weakly
 decrease, so the statistics come from a staircase fold: a DP over the value
 of each row, bottom row up, in O(mn) semiring steps (``_staircase_fold``).
-The path walk stays as its independent cross-check: it splits the path
-space into strata by the last row of the above-partition, which is constant
-on contiguous colexicographic ranges, folds each stratum one path at a time
-and merges the results; each stratum's path count is checked against its
-binomial.
+The path walk stays as its independent cross-check: it visits every path
+once in colexicographic order, keeping the above-sum up to date as each
+successor moves a few rows, and checks its path count against the binomial.
 """
 
 from __future__ import annotations
@@ -150,62 +148,47 @@ def coprime_pairs(limit: int, low: int = 2) -> list[tuple[int, int]]:
     ]
 
 
-def _fold_stratum_pure(prefix, n: int, w: int, box_total: int):
-    """Fold size statistics over every path whose above-partition has last
-    row exactly w, visiting them in colexicographic order.
+def _iter_above_sums(prefix, n: int) -> Iterator[int]:
+    """The above-sum of every path of the box, in the order of
+    ``iter_box_partitions``: the sum of the array entries above the path.
 
-    prefix is the (m, n+1) row-prefix-sum table of the array, box_total the
-    largest core size.  Returns (count, total, best, best_count): the number
-    of paths visited, the exact sum of their core sizes, the maximum size,
-    and how many paths attain it.
+    prefix is the (m, n+1) row-prefix-sum table of the array.  Each
+    colexicographic successor bumps the first bumpable row and resets the
+    rows before it to the new value, and the sum follows those rows alone.
     """
     m = len(prefix)
-    mu = [w] * m
-    above = sum(prefix[r][w] for r in range(m))
-    count = total = best_count = 0
-    best = -1
+    mu = [0] * m
+    above = 0
     while True:
-        size = box_total - above
-        count += 1
-        total += size
-        if size > best:
-            best, best_count = size, 1
-        elif size == best:
-            best_count += 1
-        # colexicographic successor keeping the last row fixed: bump the
-        # first bumpable row, reset everything before it to the new value
-        moved = False
-        for i in range(m - 1):
+        yield above
+        for i in range(m):
             cap = n if i == 0 else mu[i - 1]
             if mu[i] < cap:
-                newv = mu[i] + 1
-                above += prefix[i][newv] - prefix[i][mu[i]]
-                mu[i] = newv
-                for r in range(i):
-                    above += prefix[r][newv] - prefix[r][mu[r]]
-                    mu[r] = newv
-                moved = True
+                v = mu[i] + 1
+                for r in range(i + 1):
+                    above += prefix[r][v] - prefix[r][mu[r]]
+                    mu[r] = v
                 break
-        if not moved:
-            return count, total, best, best_count
+        else:
+            return
 
 
 def fold_path_sizes(s: int, t: int) -> FoldResult:
     """Fold exact size statistics over every path of the (s, t) box, one
     path at a time: the walk ``verify_pair`` checks the staircase fold by."""
     params = CoreParams(s, t)
-    m, n = params.m, params.n
-    prefix = build_array(s, t).row_prefix_sums()
-    parts = [
-        _fold_stratum_pure(prefix, n, w, params.max_core_size) for w in range(n + 1)
-    ]
-    for w, (c, _, _, _) in enumerate(parts):
-        assert c == math.comb(m - 1 + n - w, m - 1)
-    count = sum(p[0] for p in parts)
-    total = sum(p[1] for p in parts)
-    best = max(p[2] for p in parts)
-    best_count = sum(p[3] for p in parts if p[2] == best)
-    return FoldResult(count, total, best, best_count)
+    top = params.max_core_size
+    sums = _iter_above_sums(build_array(s, t).row_prefix_sums(), params.n)
+    count = above_total = k = 0
+    low = top + 1  # every above-sum is at most top, a size at least 0
+    for count, above in enumerate(sums, 1):
+        above_total += above
+        if above < low:
+            low, k = above, 1
+        elif above == low:
+            k += 1
+    assert count == math.comb(params.m + params.n, params.m)
+    return FoldResult(count, top * count - above_total, top - low, k)
 
 
 def _staircase_fold(weights, unit, shift, combine):

@@ -18,10 +18,14 @@ below it in the tests:
   therefore the one at the index ``bisect_left`` finds, and the bound is
   exactly the one a scan of every row would give;
 * ``brute_force_sc_cores``: self-conjugate cores are walked through their
-  diagonal hook sets.  Fixing the largest hook pins the first-column hook
-  set slot by slot (hook u in the set puts (e1+u)/2 in, else (e1-u)/2), so
-  deciding hooks in decreasing order lets every "b in the set and b-t
-  missing" violation be detected as soon as both slots are decided.
+  diagonal hook sets, for every odd largest hook e1 up to the Frobenius
+  number st - s - t.  Fixing the largest hook pins the first-column hook
+  set slot by slot (hook u in the set puts (e1+u)/2 in, else (e1-u)/2).
+  Each slot is undecided, in or out; settling one settles its closure
+  under the core condition at once, so a "b in the set and b-t missing"
+  violation kills a branch as soon as it is implied.  The hooks are
+  decided in decreasing order on a flat stack of levels, one trail of
+  settled slots undone on backtrack.
 
 The searches only ever skip subtrees whose completions provably fail the
 honest hook test, and every emitted candidate is filtered through the
@@ -208,10 +212,7 @@ def brute_force_all_cores_count(
 ) -> int:
     """Count ALL (not only self-conjugate) (s, t)-cores by enumerating
     within the largest core."""
-    params = CoreParams(s, t)
-    if params.max_core_size > budget:
-        raise OracleBudgetError(params.max_core_size, budget)
-    return len(cores_within(largest_core(params).rows, s, t))
+    return all_cores_size_stats(s, t, budget)[0]
 
 
 def all_cores_size_stats(
@@ -225,116 +226,95 @@ def all_cores_size_stats(
     return len(cores), sum(sum(c) for c in cores)
 
 
-# slot states: undecided / decided member / decided non-member / forced
-# member / forced non-member
-_UNKNOWN, _IN, _OUT, _NEED_IN, _NEED_OUT = 0, 1, 2, 3, 4
+# slot states; 0 is undecided
+_IN, _OUT = 1, 2
 
 
-def _sc_cores_with_largest_hook(
-    e1: int, s: int, t: int, caps: tuple[int, ...]
-) -> list[tuple[int, ...]]:
+def _sc_cores_with_largest_hook(e1: int, s: int, t: int) -> list[tuple[int, ...]]:
     """Diagonal hook sets of self-conjugate (s, t)-cores with largest hook
-    exactly e1 and i-th largest hook at most caps[i-1].
+    exactly e1, each in decreasing order.
 
     state[v] tracks whether v is a first-column hook of the eventual
     partition; deciding diagonal hook u fixes the two slots (e1+u)/2 and
     (e1-u)/2 at once.  The core condition is that the slot set is closed
-    downward under -s and -t steps, so a member forces its whole downward
-    closure (slot 0, permanently out, kills chains through s and t
-    themselves) and a non-member forces its upward closure out; a branch
-    dies the moment the forced sets clash.  Changes are journaled on a
-    trail and undone on backtrack.
+    downward under -s and -t steps, so a member puts its whole downward
+    closure in (slot 0, permanently out, kills chains through s and t
+    themselves) and a non-member puts its upward closure out; a branch dies
+    the moment the two clash.  A slot is only ever written from undecided,
+    so the trail is just the slots to clear on backtrack.  The search keeps
+    its own stack of levels, one per hook u = e1 - 2 * depth, each the trail
+    length before it and the branches tried (u in the set first, then out).
     """
     state = bytearray(e1 + 1)
     state[0] = _OUT
     trail: list[int] = []
 
-    def mark(v: int, value: int) -> None:
-        trail.append(v << 3 | state[v])
+    def settle(v: int, value: int) -> bool:
+        # a member's slots v - s and v - t are members, a non-member's v + s
+        # and v + t are not; the new end of the trail is the worklist
+        old = state[v]
+        if old:
+            return old == value
         state[v] = value
+        ds, dt = (-s, -t) if value == _IN else (s, t)
+        i = len(trail)
+        trail.append(v)
+        while i < len(trail):
+            v = trail[i]
+            i += 1
+            for w in (v + ds, v + dt):
+                if 0 <= w <= e1:
+                    old = state[w]
+                    if not old:
+                        state[w] = value
+                        trail.append(w)
+                    elif old != value:
+                        return False
+        return True
 
-    def force_in(v: int) -> bool:
-        st = state[v]
-        if st == _IN or st == _NEED_IN:
-            return True
-        if st == _OUT or st == _NEED_OUT:
-            return False
-        mark(v, _NEED_IN)
-        return (v < s or force_in(v - s)) and (v < t or force_in(v - t))
-
-    def force_out(v: int) -> bool:
-        if v > e1:
-            return True
-        st = state[v]
-        if st == _OUT or st == _NEED_OUT:
-            return True
-        if st == _IN or st == _NEED_IN:
-            return False
-        mark(v, _NEED_OUT)
-        return force_out(v + s) and force_out(v + t)
-
-    def assign(v: int, member: bool) -> bool:
-        st = state[v]
-        if member:
-            if st == _OUT or st == _NEED_OUT:
-                return False
-            mark(v, _IN)
-            if st == _NEED_IN:  # closure already forced
-                return True
-            return (v < s or force_in(v - s)) and (v < t or force_in(v - t))
-        if st == _IN or st == _NEED_IN:
-            return False
-        mark(v, _OUT)
-        if st == _NEED_OUT:
-            return True
-        return force_out(v + s) and force_out(v + t)
-
-    def rollback(depth: int) -> None:
-        while len(trail) > depth:
-            packed = trail.pop()
-            state[packed >> 3] = packed & 7
-
+    if not settle(e1, _IN):
+        return []
     found: list[tuple[int, ...]] = []
     chosen = [e1]
-
-    if not assign(e1, True):
-        return []
-
-    def decide(u: int) -> None:
-        if u <= 0:
+    levels = [[len(trail), 0]]
+    while levels:
+        level = levels[-1]
+        here, tried = level
+        while len(trail) > here:
+            state[trail.pop()] = 0
+        u = e1 - 2 * len(levels)
+        if chosen[-1] == u:  # back from the branch with u in the set
+            chosen.pop()
+        if u < 0:  # every hook decided
             found.append(tuple(chosen))
-            return
-        hi = (e1 + u) // 2
-        lo = (e1 - u) // 2
-        rank = len(chosen)
-        if rank < len(caps) and u <= caps[rank]:
-            here = len(trail)
-            if assign(hi, True) and assign(lo, False):
+        if u < 0 or tried == 2:
+            levels.pop()
+            continue
+        level[1] = tried + 1
+        if tried:
+            ok = settle((e1 - u) // 2, _IN) and settle((e1 + u) // 2, _OUT)
+        else:
+            ok = settle((e1 + u) // 2, _IN) and settle((e1 - u) // 2, _OUT)
+            if ok:
                 chosen.append(u)
-                decide(u - 2)
-                chosen.pop()
-            rollback(here)
-        here = len(trail)
-        if assign(hi, False) and assign(lo, True):
-            decide(u - 2)
-        rollback(here)
-
-    decide(e1 - 2)
+        if ok:
+            levels.append([len(trail), 0])
     return found
 
 
 def brute_force_sc_cores(
     s: int, t: int, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> list[Partition]:
-    """All self-conjugate (s, t)-cores, found inside the largest core and
-    filtered through the honest hook test, sorted by (size, rows)."""
+    """All self-conjugate (s, t)-cores, filtered through the honest hook
+    test and sorted by (size, rows).  Their largest hooks are the odd e1 up
+    to the Frobenius number st - s - t, which no hook of an (s, t)-core
+    exceeds."""
     params = CoreParams(s, t)
     if params.max_core_size > budget:
         raise OracleBudgetError(params.max_core_size, budget)
-    caps = largest_core(params).diagonal_hooks()
     found = [Partition()]
-    for e1 in range(1, caps[0] + 1, 2):
-        for hooks in _sc_cores_with_largest_hook(e1, s, t, caps):
+    for e1 in range(1, s * t - s - t + 1, 2):
+        for hooks in _sc_cores_with_largest_hook(e1, s, t):
             p = partition_from_diagonal_hooks(hooks)
             if is_t_core(p, s) and is_t_core(p, t):
                 found.append(p)

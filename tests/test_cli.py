@@ -544,12 +544,7 @@ BY_FORMAT = [
             '{"s":3,"t":4,"kind":"self-conjugate","count":3,"partitions":[[],'
             "[1],[3,1,1]]}\n"
         ),
-        (
-            "self-conjugate (3,4)-cores: 3\n"
-            "()\n"
-            "(1)\n"
-            "(3, 1, 1)\n"
-        ),
+        "3,4,self-conjugate,3\n",
         (
             "self-conjugate (3,4)-cores: 3\n"
             "()\n"
@@ -561,7 +556,7 @@ BY_FORMAT = [
         "bruteforce --s 4 --t 5 --all",
         0,
         '{"s":4,"t":5,"kind":"all","count":14}\n',
-        "all (4,5)-cores: 14\n",
+        "4,5,all,14\n",
         "all (4,5)-cores: 14\n",
     ),
 ]
@@ -617,6 +612,12 @@ CASES = [
             "error: enumeration needs 126 paths, over the budget of 10; raise "
             "the budget to proceed\n"
         ),
+    ),
+    (
+        "stats --s 8 --t 11 --budget -5",
+        2,
+        "",
+        "error: --budget must be at least 1, got -5\n",
     ),
     (
         "stats --s 8 --t 11 --budget 200 --format csv",
@@ -744,6 +745,12 @@ CASES = [
             "error: oracle universe needs max core size 15, over the budget of "
             "1; raise the budget to proceed\n"
         ),
+    ),
+    (
+        "bruteforce --s 3 --t 4 --budget 0 --format csv",
+        2,
+        "",
+        "error: --budget must be at least 1, got 0\n",
     ),
     (
         "bruteforce --s 4 --t 5 --all --budget 1 --format csv",

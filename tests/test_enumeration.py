@@ -132,13 +132,14 @@ def test_staircase_fold_closed_forms_far_over_the_path_budget(s, t):
 def test_staircase_check_fails_when_the_walk_is_off_by_one(monkeypatch, capsys):
     from corepaths.cli import main
 
-    walk_stratum = enumeration._fold_stratum_pure
+    walk = enumeration._iter_above_sums
 
-    def off_by_one(prefix, n, w, box_total):
-        count, total, best, best_count = walk_stratum(prefix, n, w, box_total)
-        return count, total + (w == 2), best, best_count
+    def off_by_one(prefix, n):
+        # the second path's above-sum one short: its core one cell larger
+        for k, above in enumerate(walk(prefix, n)):
+            yield above - (k == 1)
 
-    monkeypatch.setattr(enumeration, "_fold_stratum_pure", off_by_one)
+    monkeypatch.setattr(enumeration, "_iter_above_sums", off_by_one)
     report = verify_pair(8, 11)
     failed = [c for c in report["checks"] if not c["pass"]]
     assert failed == [

@@ -1,3 +1,4 @@
+import inspect
 import sys
 from math import comb
 
@@ -258,6 +259,119 @@ def test_sc_cores_match_path_image():
         image = {core_from_path(p, params).rows for p in iter_paths(params.m, params.n)}
         oracle = {p.rows for p in brute_force_sc_cores(s, t)}
         assert oracle == image
+
+
+# slot states of the reference search: undecided / decided member / decided
+# non-member / forced member / forced non-member
+_UNKNOWN, _IN, _OUT, _NEED_IN, _NEED_OUT = 0, 1, 2, 3, 4
+
+
+def _reference_sc_search(e1, s, t, caps):
+    # the five-state search by recursion, with the i-th largest hook capped
+    # by caps[i-1] (the largest core's diagonal hooks)
+    state = bytearray(e1 + 1)
+    state[0] = _OUT
+    trail = []
+
+    def mark(v, value):
+        trail.append(v << 3 | state[v])
+        state[v] = value
+
+    def force_in(v):
+        st = state[v]
+        if st == _IN or st == _NEED_IN:
+            return True
+        if st == _OUT or st == _NEED_OUT:
+            return False
+        mark(v, _NEED_IN)
+        return (v < s or force_in(v - s)) and (v < t or force_in(v - t))
+
+    def force_out(v):
+        if v > e1:
+            return True
+        st = state[v]
+        if st == _OUT or st == _NEED_OUT:
+            return True
+        if st == _IN or st == _NEED_IN:
+            return False
+        mark(v, _NEED_OUT)
+        return force_out(v + s) and force_out(v + t)
+
+    def assign(v, member):
+        st = state[v]
+        if member:
+            if st == _OUT or st == _NEED_OUT:
+                return False
+            mark(v, _IN)
+            if st == _NEED_IN:
+                return True
+            return (v < s or force_in(v - s)) and (v < t or force_in(v - t))
+        if st == _IN or st == _NEED_IN:
+            return False
+        mark(v, _OUT)
+        if st == _NEED_OUT:
+            return True
+        return force_out(v + s) and force_out(v + t)
+
+    def rollback(depth):
+        while len(trail) > depth:
+            packed = trail.pop()
+            state[packed >> 3] = packed & 7
+
+    found = []
+    chosen = [e1]
+    if not assign(e1, True):
+        return []
+
+    def decide(u):
+        if u <= 0:
+            found.append(tuple(chosen))
+            return
+        hi = (e1 + u) // 2
+        lo = (e1 - u) // 2
+        rank = len(chosen)
+        if rank < len(caps) and u <= caps[rank]:
+            here = len(trail)
+            if assign(hi, True) and assign(lo, False):
+                chosen.append(u)
+                decide(u - 2)
+                chosen.pop()
+            rollback(here)
+        here = len(trail)
+        if assign(hi, False) and assign(lo, True):
+            decide(u - 2)
+        rollback(here)
+
+    decide(e1 - 2)
+    return found
+
+
+def test_sc_search_matches_the_capped_recursive_search():
+    # same hook sets in the same order for every largest hook up to the
+    # Frobenius number, which is also the largest core's largest hook
+    import corepaths.oracles as oracles
+
+    for a, b in coprime_pairs(13):
+        for s, t in ((a, b), (b, a)):
+            caps = largest_core(CoreParams(s, t)).diagonal_hooks()
+            assert caps[0] == s * t - s - t
+            for e1 in range(1, s * t - s - t + 1, 2):
+                assert oracles._sc_cores_with_largest_hook(e1, s, t) == (
+                    _reference_sc_search(e1, s, t, caps)
+                ), (s, t, e1)
+
+
+def test_sc_cores_search_deeper_than_the_recursion_limit():
+    # (3, 200) decides up to 198 hooks below the largest, one level each
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        cores = brute_force_sc_cores(3, 200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(cores) == comb(1 + 100, 1)
+    assert cores[-1] == largest_core(CoreParams(3, 200))
 
 
 def test_all_cores_size_stats_matches_literal():

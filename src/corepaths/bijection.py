@@ -8,7 +8,8 @@ the upper-right corner, and a path is canonically stored as the partition mu
 of cells lying ABOVE it (toward the top-left).  Cell (i, j) is above the
 path exactly when j <= mu_i.
 
-Everything here is a pure function over immutable values.
+Everything here is a pure function over immutable values.  CoreParams counts
+the work each budgeted job does, for the one ``check_budget``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,51 @@ from .partitions import Partition, partition_from_diagonal_hooks, validate_hook_
 # about overflow: it bounds array size and work, since the array has about
 # s*t/4 entries and the largest core about (s*t)^2/24 cells.
 _MAX_ST = 2**31
+# Counts with more decimal digits than this are described by their digit
+# count: printing them would flood a message (and past 4300 digits Python
+# refuses to convert them at all).
+_MAX_PRINTED_DIGITS = 100
+# How the refusal of each unit of budgeted work states the count.
+_NEEDS = {"path": "enumeration needs {} paths", "cell": "staircase DP needs {} cells",
+          "core size": "oracle universe needs max core size {}"}
+
+
+def decimal_digits(n: int) -> int:
+    """Number of decimal digits of |n|, without converting it to a string."""
+    n = abs(n)
+    # 2**(b-1) <= n, so this starts at or below the true count minus one
+    digits = max(1, int((n.bit_length() - 1) * math.log10(2)))
+    while n >= 10**digits:
+        digits += 1
+    return digits
+
+
+def describe_count(n: int) -> str:
+    """n in decimal, or its order of magnitude and digit count when it is
+    too long to print."""
+    digits = decimal_digits(n)
+    if digits > _MAX_PRINTED_DIGITS:
+        return f"at least 10^{digits - 1} ({digits} digits)"
+    return str(n)
+
+
+class BudgetError(ValueError):
+    """Raised when a job needs more of its unit of work than its budget."""
+
+    def __init__(self, unit: str, required: int, budget: int):
+        self.required = required
+        self.budget = budget
+        super().__init__(
+            f"{_NEEDS[unit].format(describe_count(required))}, over the budget "
+            f"of {describe_count(budget)}; raise the budget to proceed"
+        )
+
+
+def check_budget(unit: str, required: int, budget: int) -> int:
+    """``required`` if it is within ``budget``, else BudgetError; unit keys ``_NEEDS``."""
+    if required > budget:
+        raise BudgetError(unit, required, budget)
+    return required
 
 
 @dataclass(frozen=True)
@@ -50,6 +96,16 @@ class CoreParams:
     @property
     def n(self) -> int:
         return self.t // 2
+
+    @property
+    def path_count(self) -> int:
+        """C(m+n, m), the paths of the box: what the path walk visits."""
+        return math.comb(self.m + self.n, self.m)
+
+    @property
+    def cell_count(self) -> int:
+        """m * n, the cells of the box: what the staircase DP folds."""
+        return self.m * self.n
 
     @property
     def max_core_size(self) -> int:

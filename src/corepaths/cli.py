@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import shutil
 import sys
@@ -25,16 +24,16 @@ from .bijection import (
     CoreParams,
     LatticePath,
     build_array,
+    check_budget,
     core_from_path,
+    describe_count,
     largest_core,
     path_from_core,
     path_hook_set,
 )
 from .enumeration import (
     DEFAULT_PATH_BUDGET,
-    check_path_budget,
     coprime_pairs,
-    describe_count,
     enumerated_stats,
     iter_paths,
     report_all_pass,
@@ -109,17 +108,16 @@ def _parse_path(text: str, m: int, n: int) -> LatticePath:
     return LatticePath.from_steps(text, m, n)
 
 
-def _budget(args, params: CoreParams | None = None) -> int:
+def _budget(args, unit: str | None = None, expected: int = 0) -> int:
     """--budget, else the command's default; a budget below 1 is refused.
-    Given the (s, t) of a path enumeration, an explicit budget first states
-    the expected path count."""
+    Given the unit a job's budget counts and how many it needs, an explicit
+    budget first states that count."""
     if args.budget is None:
         return args.budget_default
     if args.budget < 1:
         raise ValueError(f"--budget must be at least 1, got {args.budget}")
-    if params is not None:
-        expected = math.comb(params.m + params.n, params.m)
-        print(f"expected path count: {describe_count(expected)}", file=sys.stderr)
+    if unit is not None:
+        print(f"expected {unit} count: {describe_count(expected)}", file=sys.stderr)
     return args.budget
 
 
@@ -136,7 +134,7 @@ def _stats_summary(p) -> str:
 
 def _run_stats(args):
     params = CoreParams(args.s, args.t)
-    stats = enumerated_stats(args.s, args.t, budget=_budget(args, params))
+    stats = enumerated_stats(args.s, args.t, budget=_budget(args, "cell", params.cell_count))
     avg = stats.average_size
     return 0, {
         "s": args.s, "t": args.t, "m": params.m, "n": params.n,
@@ -147,7 +145,7 @@ def _run_stats(args):
 
 def _run_enumerate(args):
     params = CoreParams(args.s, args.t)
-    check_path_budget(params, _budget(args, params))
+    check_budget("path", params.path_count, _budget(args, "path", params.path_count))
     cores = ((path, core_from_path(path, params)) for path in iter_paths(params.m, params.n))
     return 0, [{"mu": list(p.mu.rows), "partition": list(c.rows), "size": c.size} for p, c in cores]
 
@@ -172,6 +170,13 @@ def _map_csv(p) -> str:
     return _csv(p["s"], p["t"], mu, p["steps"], partition, hooks, p["size"])
 
 
+def _ferrers(core: Partition) -> str:
+    """core's Ferrers diagram, when its widest row fits the terminal."""
+    if core.rows and core.rows[0] > shutil.get_terminal_size().columns:
+        return f"(diagram not drawn: {core.rows[0]} columns wide)"
+    return core.ferrers()
+
+
 def _map_text(p) -> str:
     core = _partition(p["partition"])
     lines = [f"path mu={p['mu']} steps={p['steps']}", f"partition {core} size={p['size']}",
@@ -184,7 +189,7 @@ def _map_text(p) -> str:
         for row, above in zip(entries, p["mu"] + [0] * (p["m"] - len(p["mu"]))):
             cells = (f"[{v:>{w}}]" if j < above else f" {v:>{w}} " for j, v in enumerate(row))
             lines.append(" ".join(cells))
-    lines.append(core.ferrers())
+    lines.append(_ferrers(core))
     return "\n".join(lines)
 
 
@@ -204,7 +209,7 @@ def _run_largest(args):
 
 def _run_verify(args):
     params = CoreParams(args.s, args.t)
-    report = verify_pair(args.s, args.t, budget=_budget(args, params))
+    report = verify_pair(args.s, args.t, budget=_budget(args, "path", params.path_count))
     return (0 if report_all_pass(report) else 1), report
 
 
@@ -285,7 +290,7 @@ COMMANDS = {
         "count/total/average/max of SC(s,t) by an O(mn) DP over the path box", _PAIR, _run_stats,
         {"json": _dumps, "csv": lambda p: _csv(*_stats_fields(p)),
          "text": lambda p: f"self-conjugate ({p['s']},{p['t']})-cores: {_stats_summary(p)}"},
-        _PATH_BUDGET,
+        (DEFAULT_PATH_BUDGET, "DP cell count limit (m*n); if set, the cell count is printed first"),
     ),
     "enumerate": (
         "list every self-conjugate (s,t)-core", _PAIR, _run_enumerate,
@@ -311,7 +316,7 @@ COMMANDS = {
         "the largest (s,t)-core", _PAIR, _run_largest,
         {"json": _dumps, "csv": lambda p: _csv(p["s"], p["t"], p["size"], _cells(p["partition"])),
          "text": lambda p: f"largest ({p['s']},{p['t']})-core, size {p['size']}:\n"
-                           f"{_partition(p['partition']).ferrers()}"}, None,
+                           f"{_ferrers(_partition(p['partition']))}"}, None,
     ),
     "verify": (
         "run every identity check for one pair", _PAIR, _run_verify,

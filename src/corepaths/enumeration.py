@@ -18,54 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .bijection import CoreParams, LatticePath, build_array, largest_core
+from .bijection import CoreParams, LatticePath, build_array, check_budget, largest_core
 from .partitions import Partition, diagonal_hooks_within, partition_from_diagonal_hooks
 
 DEFAULT_PATH_BUDGET = 10**7
-# Counts with more decimal digits than this are described by their digit
-# count: printing them would flood a message (and past 4300 digits Python
-# refuses to convert them at all).
-_MAX_PRINTED_DIGITS = 100
-
-
-def decimal_digits(n: int) -> int:
-    """Number of decimal digits of |n|, without converting it to a string."""
-    n = abs(n)
-    # 2**(b-1) <= n, so this starts at or below the true count minus one
-    digits = max(1, int((n.bit_length() - 1) * math.log10(2)))
-    while n >= 10**digits:
-        digits += 1
-    return digits
-
-
-def describe_count(n: int) -> str:
-    """n in decimal, or its order of magnitude and digit count when it is
-    too long to print."""
-    digits = decimal_digits(n)
-    if digits > _MAX_PRINTED_DIGITS:
-        return f"at least 10^{digits - 1} ({digits} digits)"
-    return str(n)
-
-
-class PathBudgetError(ValueError):
-    """Raised when an enumeration would visit more paths than allowed."""
-
-    def __init__(self, required: int, budget: int):
-        self.required = required
-        self.budget = budget
-        super().__init__(
-            f"enumeration needs {describe_count(required)} paths, over the budget "
-            f"of {describe_count(budget)}; raise the budget to proceed"
-        )
-
-
-def check_path_budget(params: CoreParams, budget: int) -> int:
-    """The path count of the (s, t) box; raises PathBudgetError when it is
-    over ``budget``."""
-    expected = math.comb(params.m + params.n, params.m)
-    if expected > budget:
-        raise PathBudgetError(expected, budget)
-    return expected
+_CONTAINMENT_LIMIT = 10**5  # paths; verify_pair sweeps containment up to it
 
 
 @dataclass(frozen=True)
@@ -187,7 +144,7 @@ def fold_path_sizes(s: int, t: int) -> FoldResult:
             low, k = above, 1
         elif above == low:
             k += 1
-    assert count == math.comb(params.m + params.n, params.m)
+    assert count == params.path_count
     return FoldResult(count, top * count - above_total, top - low, k)
 
 
@@ -248,9 +205,9 @@ def enumerated_stats(
     """Count / total / average / max size of the self-conjugate (s, t)-cores
     over every lattice path of the box, with exact arithmetic throughout.
 
-    The statistics come from the staircase fold in O(mn) steps; the path
-    count must still be within ``budget``."""
-    check_path_budget(CoreParams(s, t), budget)
+    The statistics come from the staircase fold, whose m * n cells must be
+    within ``budget``."""
+    check_budget("cell", CoreParams(s, t).cell_count, budget)
     return CoreStats.from_fold(_staircase_sizes(s, t))
 
 
@@ -273,26 +230,26 @@ def total_size_from_path_counts(s: int, t: int) -> int:
     above_total = sum(
         v * c for row, counts in zip(arr.entries, f) for v, c in zip(row, counts)
     )
-    return params.max_core_size * math.comb(m + n, m) - above_total
+    return params.max_core_size * params.path_count - above_total
 
 
 def verify_pair(
     s: int,
     t: int,
     budget: int = DEFAULT_PATH_BUDGET,
-    containment_limit: int = 10**5,
     oracle_budget: int | None = None,
 ) -> dict:
     """Cross-check every counting statement for one coprime pair.
 
     Returns a JSON-ready report: the statistics from the staircase fold plus
     a list of {name, pass, lhs, rhs} checks, one of which compares them with
-    the path walk.  The containment sweep (and, when
-    ``oracle_budget`` is given, the independent brute-force set comparison)
-    only run within their budgets.  Failures are reported, never raised.
+    the path walk.  Failed checks are reported, not raised.  The path count
+    must be within ``budget``, and containment is swept up to
+    ``_CONTAINMENT_LIMIT`` paths.  Given ``oracle_budget``, the brute-force
+    set comparison runs too, and a largest core over it raises BudgetError.
     """
     params = CoreParams(s, t)
-    expected = check_path_budget(params, budget)
+    expected = check_budget("path", params.path_count, budget)
     fold = _staircase_sizes(s, t)
     walk = fold_path_sizes(s, t)
     stats = CoreStats.from_fold(fold)
@@ -319,7 +276,7 @@ def verify_pair(
         [walk.count, walk.total, walk.max_size, walk.max_multiplicity],
     )
 
-    if stats.count <= containment_limit:
+    if stats.count <= _CONTAINMENT_LIMIT:
         outer = largest_core(params).diagonal_hooks()
         bad = sum(
             not diagonal_hooks_within(hooks, outer) for hooks in _iter_hook_sets(params)

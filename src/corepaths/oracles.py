@@ -39,22 +39,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bijection import CoreParams, largest_core
+from .bijection import CoreParams, check_budget, largest_core
 from .partitions import Partition, is_t_core, partition_from_diagonal_hooks
 
 DEFAULT_ORACLE_BUDGET = 10**5
-
-
-class OracleBudgetError(ValueError):
-    """Raised when the largest core is too big for a brute-force universe."""
-
-    def __init__(self, required: int, budget: int):
-        self.required = required
-        self.budget = budget
-        super().__init__(
-            f"oracle universe needs max core size {required}, over the budget "
-            f"of {budget}; raise the budget to proceed"
-        )
 
 
 def iter_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -220,8 +208,7 @@ def all_cores_size_stats(
 ) -> tuple[int, int]:
     """(count, total size) over ALL (s, t)-cores, same route as the count."""
     params = CoreParams(s, t)
-    if params.max_core_size > budget:
-        raise OracleBudgetError(params.max_core_size, budget)
+    check_budget("core size", params.max_core_size, budget)
     cores = cores_within(largest_core(params).rows, s, t)
     return len(cores), sum(sum(c) for c in cores)
 
@@ -310,8 +297,7 @@ def brute_force_sc_cores(
     to the Frobenius number st - s - t, which no hook of an (s, t)-core
     exceeds."""
     params = CoreParams(s, t)
-    if params.max_core_size > budget:
-        raise OracleBudgetError(params.max_core_size, budget)
+    check_budget("core size", params.max_core_size, budget)
     found = [Partition()]
     for e1 in range(1, s * t - s - t + 1, 2):
         for hooks in _sc_cores_with_largest_hook(e1, s, t):
@@ -348,11 +334,9 @@ class PartitionSurvey:
     visited: int
 
 
-def survey_partitions(
-    s: int, t: int, limit: int, check_containment: bool = True
-) -> PartitionSurvey:
-    """Find every (s, t)-core of size <= limit and (optionally) count how many
-    of those stick out of the largest core.
+def survey_partitions(s: int, t: int, limit: int) -> PartitionSurvey:
+    """Find every (s, t)-core of size <= limit and count how many of those
+    stick out of the largest core.
 
     The search is the pruned row walk of ``cores_within``, capped by size
     alone (a limit x limit box holds every partition of size <= limit), so
@@ -363,7 +347,7 @@ def survey_partitions(
     params = CoreParams(s, t)
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
-    lam = largest_core(params) if check_containment else None
+    lam = largest_core(params)
     cores = core_size_total = outside = 0
     visited = [0]
     for rows in _core_walk((limit,) * limit, s, t, limit, visited):
@@ -371,7 +355,7 @@ def survey_partitions(
         if is_t_core(p, s) and is_t_core(p, t):
             cores += 1
             core_size_total += p.size
-            if lam is not None and not lam.contains(p):
+            if not lam.contains(p):
                 outside += 1
     return PartitionSurvey(
         _partitions_up_to(limit), cores, core_size_total, outside, visited[0]

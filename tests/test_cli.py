@@ -1,11 +1,18 @@
 import json
+import os
 import shlex
 import subprocess
 import sys
+from math import comb
+from pathlib import Path
 
 import pytest
 
+import corepaths
 from corepaths.cli import main
+
+# the directory holding the corepaths package under test, for child processes
+PACKAGE_PARENT = str(Path(corepaths.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -51,23 +58,40 @@ def test_stats_not_coprime_is_usage_error(capsys):
 
 
 def test_stats_budget_announcement_and_guard(capsys):
-    code, _, err = run(capsys, "stats", "--s", "8", "--t", "11", "--budget", "10")
+    # the staircase DP of (8, 11) folds the 4 x 5 = 20 cells of its box
+    code, _, err = run(capsys, "stats", "--s", "8", "--t", "11", "--budget", "19")
     assert code == 2
-    assert "expected path count: 126" in err
-    assert "budget" in err
-    code, out, err = run(capsys, "stats", "--s", "8", "--t", "11", "--budget", "200")
+    assert err == (
+        "expected cell count: 20\n"
+        "error: staircase DP needs 20 cells, over the budget of 19; raise the "
+        "budget to proceed\n"
+    )
+    code, out, err = run(capsys, "stats", "--s", "8", "--t", "11", "--budget", "20")
     assert code == 0
-    assert "expected path count: 126" in err
+    assert err == "expected cell count: 20\n"
+    assert json.loads(out)["count"] == 126
+
+
+def test_stats_far_over_the_path_count_within_the_cell_budget(capsys):
+    code, out, _ = run(capsys, "stats", "--s", "101", "--t", "103")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count"] == comb(101, 50)
+    assert payload["average"] == {"num": 87125, "den": 1}
+    assert payload["max"] == 4508400
+    code, _, err = run(capsys, "stats", "--s", "40000", "--t", "53687")
+    assert code == 2
+    assert "staircase DP needs 536860000 cells, over the budget of 10000000" in err
 
 
 def test_budget_refusal_of_a_count_too_long_to_print(capsys):
     # C(46843, 20000) has 13881 digits, past Python's 4300-digit int->str
     # limit; the refusal states its size instead of printing it
-    code, _, err = run(capsys, "stats", "--s", "40000", "--t", "53687")
+    code, _, err = run(capsys, "enumerate", "--s", "40000", "--t", "53687")
     assert code == 2
     assert "enumeration needs at least 10^13880 (13881 digits) paths" in err
     code, _, err = run(
-        capsys, "stats", "--s", "40000", "--t", "53687", "--budget", "5"
+        capsys, "enumerate", "--s", "40000", "--t", "53687", "--budget", "5"
     )
     assert code == 2
     assert "expected path count: at least 10^13880 (13881 digits)" in err
@@ -184,6 +208,34 @@ def test_enumerate_budget_guard(capsys):
     code, _, err = run(capsys, "enumerate", "--s", "8", "--t", "11", "--budget", "5")
     assert code == 2
     assert "enumeration needs 126 paths, over the budget of 5" in err
+    code, _, err = run(capsys, "enumerate", "--s", "8", "--t", "11", "--budget", "125")
+    assert code == 2
+    assert "enumeration needs 126 paths, over the budget of 125" in err
+    code, out, err = run(capsys, "enumerate", "--s", "8", "--t", "11", "--budget", "126")
+    assert code == 0
+    assert err == "expected path count: 126\n"
+    assert len(out.splitlines()) == 126
+
+
+@pytest.mark.parametrize(
+    "argv, width",
+    [
+        ("largest --s 11 --t 13", 60),
+        ("map --s 11 --t 13 --path []", 60),
+        ("map --s 3 --t 200 --path []", 199),
+    ],
+)
+def test_ferrers_diagram_is_drawn_only_when_it_fits(capsys, monkeypatch, argv, width):
+    # the largest core's first row is (st - s - t + 1) / 2 cells
+    argv = shlex.split(argv) + ["--format", "text"]
+    monkeypatch.setenv("COLUMNS", str(width))
+    _, out, _ = run(capsys, *argv)
+    assert "▪" * width + "\n" in out
+    assert "not drawn" not in out
+    monkeypatch.setenv("COLUMNS", str(width - 1))
+    _, out, _ = run(capsys, *argv)
+    assert "▪" not in out
+    assert out.endswith(f"(diagram not drawn: {width} columns wide)\n")
 
 
 def test_verify_pass_and_exit_codes(capsys):
@@ -292,6 +344,13 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: cannot write --output")
 
 
+def _child_env() -> dict:
+    """The environment with the package under test first on PYTHONPATH, so a
+    child python imports it from a bare checkout too."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [PACKAGE_PARENT, path]))}
+
+
 def test_import_loads_no_numpy():
     subprocess.run(
         [
@@ -300,6 +359,7 @@ def test_import_loads_no_numpy():
             "import corepaths, corepaths.cli, sys; assert 'numpy' not in sys.modules",
         ],
         check=True,
+        env=_child_env(),
     )
 
 
@@ -311,6 +371,7 @@ def test_closed_stdout_pipe_exits_141_without_traceback(limit):
         [sys.executable, "-m", "corepaths.cli", "identities", "--max", limit],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=_child_env(),
     )
     proc.stdout.close()
     err = proc.stderr.read()
@@ -608,8 +669,8 @@ CASES = [
         2,
         "",
         (
-            "expected path count: 126\n"
-            "error: enumeration needs 126 paths, over the budget of 10; raise "
+            "expected cell count: 20\n"
+            "error: staircase DP needs 20 cells, over the budget of 10; raise "
             "the budget to proceed\n"
         ),
     ),
@@ -623,7 +684,7 @@ CASES = [
         "stats --s 8 --t 11 --budget 200 --format csv",
         0,
         "8,11,126,7350,175,3,315\n",
-        "expected path count: 126\n",
+        "expected cell count: 20\n",
     ),
     ("enumerate --s 4 --t 6 --format csv", 2, "", "error: not coprime: (4, 6)\n"),
     (

@@ -5,8 +5,8 @@ import pytest
 
 from corepaths import enumeration
 from corepaths import (
+    BudgetError,
     CoreParams,
-    PathBudgetError,
     Partition,
     average_size_formula,
     coprime_pairs,
@@ -226,23 +226,44 @@ def test_above_total_decomposes_into_weighted_table_sums():
 
 
 def test_budget_guard():
-    with pytest.raises(PathBudgetError) as err:
-        enumerated_stats(16, 17, budget=100)
+    # stats folds the m * n = 64 cells of the 8 x 8 box, verify walks its
+    # C(16, 8) paths
+    assert enumerated_stats(16, 17, budget=64).count == comb(16, 8)
+    with pytest.raises(BudgetError) as err:
+        enumerated_stats(16, 17, budget=63)
+    assert (err.value.required, err.value.budget) == (64, 63)
+    assert str(err.value).startswith("staircase DP needs 64 cells, over the budget of 63")
+    with pytest.raises(BudgetError) as err:
+        verify_pair(16, 17, budget=100)
     assert err.value.required == comb(16, 8)
     assert err.value.budget == 100
-    with pytest.raises(PathBudgetError):
-        verify_pair(16, 17, budget=100)
+
+
+def test_stats_far_over_the_path_count_are_within_the_cell_budget():
+    st = enumerated_stats(101, 103)
+    assert st.count == comb(101, 50)
+    assert st.average_size == Fraction(87125, 1)
+    assert st.max_size == 4508400
+
+
+def test_budget_error_text_for_each_unit():
+    assert [str(BudgetError(unit, 15, 1)) for unit in ("path", "cell", "core size")] == [
+        "enumeration needs 15 paths, over the budget of 1; raise the budget to proceed",
+        "staircase DP needs 15 cells, over the budget of 1; raise the budget to proceed",
+        "oracle universe needs max core size 15, over the budget of 1; raise the "
+        "budget to proceed",
+    ]
 
 
 def test_budget_error_states_the_digit_count_of_huge_counts():
-    from corepaths.enumeration import decimal_digits
+    from corepaths.bijection import decimal_digits
 
     for k in range(120):
         for n in (10**k - 1, 10**k, 10**k + 1, 2**k, -(3**k)):
             assert decimal_digits(n) == len(str(abs(n)))
-    assert str(PathBudgetError(10**99, 10)).startswith(f"enumeration needs {10**99} paths")
+    assert str(BudgetError("path", 10**99, 10)).startswith(f"enumeration needs {10**99} paths")
     # 10**5000 is past Python's 4300-digit int->str limit
-    err = PathBudgetError(10**5000, 10**5000 - 1)
+    err = BudgetError("path", 10**5000, 10**5000 - 1)
     assert str(err) == (
         "enumeration needs at least 10^5000 (5001 digits) paths, over the budget "
         "of at least 10^4999 (5000 digits); raise the budget to proceed"
@@ -286,11 +307,20 @@ def test_verify_pair_with_oracle():
     assert report["checks"][-1]["name"] == "oracle_set_equality"
 
 
-def test_verify_pair_skips_containment_beyond_limit():
-    report = verify_pair(8, 11, containment_limit=10)
-    names = [c["name"] for c in report["checks"]]
-    assert "largest_core_contains_all" not in names
-    assert report_all_pass(report)
+def test_verify_pair_with_oracle_over_its_budget_raises():
+    # (8, 11)'s largest core has 315 cells
+    with pytest.raises(BudgetError, match="max core size 315, over the budget of 10;"):
+        verify_pair(8, 11, oracle_budget=10)
+
+
+def test_verify_pair_skips_containment_beyond_limit(monkeypatch):
+    # (8, 11) has 126 paths
+    for limit, swept in ((126, True), (125, False)):
+        monkeypatch.setattr(enumeration, "_CONTAINMENT_LIMIT", limit)
+        report = verify_pair(8, 11)
+        names = [c["name"] for c in report["checks"]]
+        assert ("largest_core_contains_all" in names) is swept
+        assert report_all_pass(report)
 
 
 def test_containment_check_counts_what_contains_counts(monkeypatch):

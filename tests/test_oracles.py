@@ -5,8 +5,8 @@ from math import comb
 import pytest
 
 from corepaths import (
+    BudgetError,
     CoreParams,
-    OracleBudgetError,
     Partition,
     all_cores_size_stats,
     brute_force_all_cores_count,
@@ -190,10 +190,10 @@ def test_anderson_count_examples():
 
 
 def test_oracle_budget_guard():
-    with pytest.raises(OracleBudgetError) as err:
+    with pytest.raises(BudgetError) as err:
         brute_force_all_cores_count(7, 8, budget=100)
     assert err.value.required == 126
-    with pytest.raises(OracleBudgetError):
+    with pytest.raises(BudgetError):
         brute_force_sc_cores(12, 13, budget=1000)
 
 
@@ -413,14 +413,6 @@ def test_survey_matches_pure_enumeration():
         )
 
 
-def test_survey_without_containment():
-    with_lam = survey_partitions(5, 6, 20)
-    without = survey_partitions(5, 6, 20, check_containment=False)
-    assert with_lam.cores == without.cores
-    assert with_lam.core_size_total == without.core_size_total
-    assert without.outside_largest == 0
-
-
 def test_survey_matches_literal_route_on_small_pairs():
     # the pruned size-capped search against every partition, one by one
     limits = (0, 1, 5, 12, 20)
@@ -435,19 +427,18 @@ def test_survey_matches_literal_route_on_small_pairs():
             within = [x for x in seen if x[0] <= limit]
             cores = [x for x in within if x[1]]
             outside = sum(1 for x in cores if x[2])
-            for check, expected_outside in ((True, outside), (False, 0)):
-                sv = survey_partitions(s, t, limit, check_containment=check)
-                assert (
-                    sv.scanned,
-                    sv.cores,
-                    sv.core_size_total,
-                    sv.outside_largest,
-                ) == (
-                    len(within),
-                    len(cores),
-                    sum(x[0] for x in cores),
-                    expected_outside,
-                ), (s, t, limit, check)
+            sv = survey_partitions(s, t, limit)
+            assert (
+                sv.scanned,
+                sv.cores,
+                sv.core_size_total,
+                sv.outside_largest,
+            ) == (
+                len(within),
+                len(cores),
+                sum(x[0] for x in cores),
+                outside,
+            ), (s, t, limit)
 
 
 def test_survey_covers_every_partition_up_to_the_limit():

@@ -31,7 +31,7 @@ _MAX_ST = 2**31
 _MAX_PRINTED_DIGITS = 100
 # How the refusal of each unit of budgeted work states the count.
 _NEEDS = {"path": "enumeration needs {} paths", "cell": "staircase DP needs {} cells",
-          "core size": "oracle universe needs max core size {}"}
+          "core": "brute-force search lists {} cores"}
 
 
 def decimal_digits(n: int) -> int:
@@ -99,13 +99,20 @@ class CoreParams:
 
     @property
     def path_count(self) -> int:
-        """C(m+n, m), the paths of the box: what the path walk visits."""
+        """C(m+n, m), the paths of the box: what the path walk visits, and
+        the self-conjugate cores the brute-force search lists."""
         return math.comb(self.m + self.n, self.m)
 
     @property
     def cell_count(self) -> int:
         """m * n, the cells of the box: what the staircase DP folds."""
         return self.m * self.n
+
+    @property
+    def all_core_count(self) -> int:
+        """C(s+t, s) / (s+t), Anderson's count of all (s, t)-cores: what
+        the all-cores search lists."""
+        return math.comb(self.s + self.t, self.s) // (self.s + self.t)
 
     @property
     def max_core_size(self) -> int:

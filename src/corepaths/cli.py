@@ -340,7 +340,7 @@ COMMANDS = {
                             "help": "count all cores, not only self-conjugate"})], _run_bruteforce,
         {"json": _dumps, "csv": lambda p: _csv(p["s"], p["t"], p["kind"], p["count"]),
          "text": _bruteforce_text},
-        (DEFAULT_ORACLE_BUDGET, "largest core size the search may cover"),
+        (DEFAULT_ORACLE_BUDGET, "number of cores the search may list"),
     ),
 }
 

@@ -95,12 +95,12 @@ def _iter_hook_sets(params: CoreParams) -> Iterator[tuple[int, ...]]:
         yield hook_set(mu)
 
 
-def coprime_pairs(limit: int, low: int = 2) -> list[tuple[int, int]]:
-    """All coprime pairs low <= s < t <= limit."""
+def coprime_pairs(limit: int) -> list[tuple[int, int]]:
+    """All coprime pairs 2 <= s < t <= limit."""
     return [
         (s, t)
-        for t in range(low + 1, limit + 1)
-        for s in range(low, t)
+        for t in range(3, limit + 1)
+        for s in range(2, t)
         if math.gcd(s, t) == 1
     ]
 
@@ -246,7 +246,8 @@ def verify_pair(
     the path walk.  Failed checks are reported, not raised.  The path count
     must be within ``budget``, and containment is swept up to
     ``_CONTAINMENT_LIMIT`` paths.  Given ``oracle_budget``, the brute-force
-    set comparison runs too, and a largest core over it raises BudgetError.
+    set comparison runs too, and a self-conjugate core count over it
+    raises BudgetError.
     """
     params = CoreParams(s, t)
     expected = check_budget("path", params.path_count, budget)

@@ -17,20 +17,17 @@ below it in the tests:
   columns strictly decrease.  The largest one not right of the last row is
   therefore the one at the index ``bisect_left`` finds, and the bound is
   exactly the one a scan of every row would give;
-* ``brute_force_sc_cores``: self-conjugate cores are walked through their
-  diagonal hook sets, for every odd largest hook e1 up to the Frobenius
-  number st - s - t.  Fixing the largest hook pins the first-column hook
-  set slot by slot (hook u in the set puts (e1+u)/2 in, else (e1-u)/2).
-  Each slot is undecided, in or out; settling one settles its closure
-  under the core condition at once, so a "b in the set and b-t missing"
-  violation kills a branch as soon as it is implied.  The hooks are
-  decided in decreasing order on a flat stack of levels, one trail of
-  settled slots undone on backtrack.
+* ``brute_force_sc_cores``: self-conjugate cores are grown through their
+  diagonal hook sets, one member at a time in increasing order, from the
+  empty set.  The core condition, read off the hook definition, only
+  relates each new largest hook to smaller ones, so every set the search
+  reaches is a core and it never backtracks out of a dead end.
 
-The searches only ever skip subtrees whose completions provably fail the
-honest hook test, and every emitted candidate is filtered through the
-honest test again, so pruning bugs can drop results but never admit wrong
-ones; the set-equality tests against the literal sweeps guard the rest.
+The row walks only ever skip subtrees whose completions provably fail the
+honest hook test, the hook-set search only ever skips sets that break the
+core condition, and every emitted candidate is filtered through the honest
+test again, so pruning bugs can drop results but never admit wrong ones;
+the set-equality tests against the literal sweeps guard the rest.
 """
 
 from __future__ import annotations
@@ -206,104 +203,74 @@ def brute_force_all_cores_count(
 def all_cores_size_stats(
     s: int, t: int, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> tuple[int, int]:
-    """(count, total size) over ALL (s, t)-cores, same route as the count."""
+    """(count, total size) over ALL (s, t)-cores, same route as the count.
+    The budget counts the C(s+t, s)/(s+t) cores the search lists."""
     params = CoreParams(s, t)
-    check_budget("core size", params.max_core_size, budget)
+    check_budget("core", params.all_core_count, budget)
     cores = cores_within(largest_core(params).rows, s, t)
     return len(cores), sum(sum(c) for c in cores)
 
 
-# slot states; 0 is undecided
-_IN, _OUT = 1, 2
+def _sc_hook_sets(s: int, t: int) -> Iterator[tuple[int, ...]]:
+    """Diagonal hook sets of the self-conjugate (s, t)-cores, each in
+    increasing order, by one depth-first search from the empty set.
 
+    The rule comes from the hook definition alone.  A partition's doubled
+    Maya diagram S = {2 rows[i] - 2i + 1 : i >= 1} (rows padded by zeros) is
+    a set of odd integers, and a cell of hook length h pairs some x in S
+    with x - 2h outside S, so the partition is an h-core exactly when S is
+    closed under -2h.  It is self-conjugate exactly when each odd u > 0 has
+    exactly one of u and -u in S; the positive members of S are its
+    diagonal hooks D.  For h in {s, t}, closure then reads: if u is in D
+    and u > 2h, then u - 2h is in D; if u is in D and u < 2h, then 2h - u
+    is not in D (so u != h).
 
-def _sc_cores_with_largest_hook(e1: int, s: int, t: int) -> list[tuple[int, ...]]:
-    """Diagonal hook sets of self-conjugate (s, t)-cores with largest hook
-    exactly e1, each in decreasing order.
-
-    state[v] tracks whether v is a first-column hook of the eventual
-    partition; deciding diagonal hook u fixes the two slots (e1+u)/2 and
-    (e1-u)/2 at once.  The core condition is that the slot set is closed
-    downward under -s and -t steps, so a member puts its whole downward
-    closure in (slot 0, permanently out, kills chains through s and t
-    themselves) and a non-member puts its upward closure out; a branch dies
-    the moment the two clash.  A slot is only ever written from undecided,
-    so the trail is just the slots to clear on backtrack.  The search keeps
-    its own stack of levels, one per hook u = e1 - 2 * depth, each the trail
-    length before it and the branches tried (u in the set first, then out).
+    Checked when u is the largest member, each rule names only members
+    below it, so D without its largest member obeys them too and the
+    valid sets form a tree rooted at the empty set.  The children of D add
+    one odd u above max D, no higher than max D + 2 min(s, t) (above that
+    u - 2 min(s, t) would have to be in D) and no higher than the
+    Frobenius number st - s - t, which no hook of an (s, t)-core exceeds.
+    Every node is a core, so there are no dead ends and nothing to undo
+    but a membership bytearray and the stack of chosen members.
     """
-    state = bytearray(e1 + 1)
-    state[0] = _OUT
-    trail: list[int] = []
-
-    def settle(v: int, value: int) -> bool:
-        # a member's slots v - s and v - t are members, a non-member's v + s
-        # and v + t are not; the new end of the trail is the worklist
-        old = state[v]
-        if old:
-            return old == value
-        state[v] = value
-        ds, dt = (-s, -t) if value == _IN else (s, t)
-        i = len(trail)
-        trail.append(v)
-        while i < len(trail):
-            v = trail[i]
-            i += 1
-            for w in (v + ds, v + dt):
-                if 0 <= w <= e1:
-                    old = state[w]
-                    if not old:
-                        state[w] = value
-                        trail.append(w)
-                    elif old != value:
-                        return False
-        return True
-
-    if not settle(e1, _IN):
-        return []
-    found: list[tuple[int, ...]] = []
-    chosen = [e1]
-    levels = [[len(trail), 0]]
+    top = s * t - s - t
+    step = 2 * min(s, t)
+    member = bytearray(max(top, 2 * s, 2 * t) + 1)
+    chosen: list[int] = []
+    # per level, the candidates still to try for the next member
+    levels = [iter(range(1, min(step, top) + 1, 2))]
+    yield ()
     while levels:
-        level = levels[-1]
-        here, tried = level
-        while len(trail) > here:
-            state[trail.pop()] = 0
-        u = e1 - 2 * len(levels)
-        if chosen[-1] == u:  # back from the branch with u in the set
-            chosen.pop()
-        if u < 0:  # every hook decided
-            found.append(tuple(chosen))
-        if u < 0 or tried == 2:
-            levels.pop()
-            continue
-        level[1] = tried + 1
-        if tried:
-            ok = settle((e1 - u) // 2, _IN) and settle((e1 + u) // 2, _OUT)
-        else:
-            ok = settle((e1 + u) // 2, _IN) and settle((e1 - u) // 2, _OUT)
-            if ok:
+        for u in levels[-1]:
+            member[u] = 1  # tried as a member, so u = h breaks the second rule
+            ds, dt = u - 2 * s, u - 2 * t
+            if (member[ds] if ds > 0 else not member[-ds]) and (
+                member[dt] if dt > 0 else not member[-dt]
+            ):
                 chosen.append(u)
-        if ok:
-            levels.append([len(trail), 0])
-    return found
+                levels.append(iter(range(u + 2, min(u + step, top) + 1, 2)))
+                yield tuple(chosen)
+                break
+            member[u] = 0
+        else:
+            levels.pop()
+            if chosen:
+                member[chosen.pop()] = 0
 
 
 def brute_force_sc_cores(
     s: int, t: int, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> list[Partition]:
     """All self-conjugate (s, t)-cores, filtered through the honest hook
-    test and sorted by (size, rows).  Their largest hooks are the odd e1 up
-    to the Frobenius number st - s - t, which no hook of an (s, t)-core
-    exceeds."""
-    params = CoreParams(s, t)
-    check_budget("core size", params.max_core_size, budget)
-    found = [Partition()]
-    for e1 in range(1, s * t - s - t + 1, 2):
-        for hooks in _sc_cores_with_largest_hook(e1, s, t):
-            p = partition_from_diagonal_hooks(hooks)
-            if is_t_core(p, s) and is_t_core(p, t):
-                found.append(p)
+    test and sorted by (size, rows).  The budget counts the C(m+n, m)
+    cores the search lists."""
+    check_budget("core", CoreParams(s, t).path_count, budget)
+    found = []
+    for hooks in _sc_hook_sets(s, t):
+        p = partition_from_diagonal_hooks(hooks)
+        if is_t_core(p, s) and is_t_core(p, t):
+            found.append(p)
     found.sort(key=lambda p: (p.size, p.rows))
     return found
 

@@ -324,6 +324,32 @@ def test_bruteforce_all(capsys):
     assert json.loads(out)["count"] == 14
 
 
+def test_bruteforce_budget_counts_the_cores_listed(capsys):
+    # 501 cores, though the largest has 333,333 cells
+    code, out, _ = run(capsys, "bruteforce", "--s", "3", "--t", "1000", "--format", "csv")
+    assert (code, out) == (0, "3,1000,self-conjugate,501\n")
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [("--s 26 --t 27", comb(26, 13)), ("--s 20 --t 21 --all", comb(41, 20) // 41)],
+    ids=["self-conjugate", "all"],
+)
+def test_bruteforce_refuses_before_any_search(capsys, monkeypatch, argv, count):
+    import corepaths.oracles as oracles
+
+    def searched(*args):
+        raise AssertionError("searched past the budget")
+
+    monkeypatch.setattr(oracles, "_sc_hook_sets", searched)
+    monkeypatch.setattr(oracles, "cores_within", searched)
+    err = (
+        f"error: brute-force search lists {count} cores, over the budget of 100000; "
+        "raise the budget to proceed\n"
+    )
+    assert run(capsys, "bruteforce", *argv.split()) == (2, "", err)
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "stats.json"
     code, out, _ = run(
@@ -803,8 +829,8 @@ CASES = [
         2,
         "",
         (
-            "error: oracle universe needs max core size 15, over the budget of "
-            "1; raise the budget to proceed\n"
+            "error: brute-force search lists 6 cores, over the budget of 1; "
+            "raise the budget to proceed\n"
         ),
     ),
     (
@@ -818,8 +844,8 @@ CASES = [
         2,
         "",
         (
-            "error: oracle universe needs max core size 15, over the budget of "
-            "1; raise the budget to proceed\n"
+            "error: brute-force search lists 14 cores, over the budget of 1; "
+            "raise the budget to proceed\n"
         ),
     ),
 ]

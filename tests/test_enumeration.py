@@ -247,11 +247,10 @@ def test_stats_far_over_the_path_count_are_within_the_cell_budget():
 
 
 def test_budget_error_text_for_each_unit():
-    assert [str(BudgetError(unit, 15, 1)) for unit in ("path", "cell", "core size")] == [
+    assert [str(BudgetError(unit, 15, 1)) for unit in ("path", "cell", "core")] == [
         "enumeration needs 15 paths, over the budget of 1; raise the budget to proceed",
         "staircase DP needs 15 cells, over the budget of 1; raise the budget to proceed",
-        "oracle universe needs max core size 15, over the budget of 1; raise the "
-        "budget to proceed",
+        "brute-force search lists 15 cores, over the budget of 1; raise the budget to proceed",
     ]
 
 
@@ -308,8 +307,8 @@ def test_verify_pair_with_oracle():
 
 
 def test_verify_pair_with_oracle_over_its_budget_raises():
-    # (8, 11)'s largest core has 315 cells
-    with pytest.raises(BudgetError, match="max core size 315, over the budget of 10;"):
+    # (8, 11) has C(9, 4) = 126 self-conjugate cores
+    with pytest.raises(BudgetError, match="lists 126 cores, over the budget of 10;"):
         verify_pair(8, 11, oracle_budget=10)
 
 

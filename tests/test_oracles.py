@@ -190,11 +190,16 @@ def test_anderson_count_examples():
 
 
 def test_oracle_budget_guard():
+    # the budget counts the cores each search lists: C(15, 7)/15 = 429 for
+    # all (7, 8)-cores, C(12, 6) = 924 self-conjugate (12, 13)-cores
     with pytest.raises(BudgetError) as err:
-        brute_force_all_cores_count(7, 8, budget=100)
-    assert err.value.required == 126
-    with pytest.raises(BudgetError):
-        brute_force_sc_cores(12, 13, budget=1000)
+        brute_force_all_cores_count(7, 8, budget=428)
+    assert err.value.required == 429
+    assert brute_force_all_cores_count(7, 8, budget=429) == 429
+    with pytest.raises(BudgetError) as err:
+        brute_force_sc_cores(12, 13, budget=923)
+    assert err.value.required == 924
+    assert len(brute_force_sc_cores(12, 13, budget=924)) == 924
 
 
 def test_sc_cores_examples():
@@ -347,18 +352,35 @@ def _reference_sc_search(e1, s, t, caps):
 
 
 def test_sc_search_matches_the_capped_recursive_search():
-    # same hook sets in the same order for every largest hook up to the
-    # Frobenius number, which is also the largest core's largest hook
+    # the same hook sets as the per-largest-hook search over every largest
+    # hook up to the Frobenius number, which is also the largest core's
     import corepaths.oracles as oracles
 
     for a, b in coprime_pairs(13):
         for s, t in ((a, b), (b, a)):
             caps = largest_core(CoreParams(s, t)).diagonal_hooks()
             assert caps[0] == s * t - s - t
+            found = [hooks[::-1] for hooks in oracles._sc_hook_sets(s, t)]
+            assert len(found) == len(set(found)), (s, t)
+            expected = [()]
             for e1 in range(1, s * t - s - t + 1, 2):
-                assert oracles._sc_cores_with_largest_hook(e1, s, t) == (
-                    _reference_sc_search(e1, s, t, caps)
-                ), (s, t, e1)
+                expected += _reference_sc_search(e1, s, t, caps)
+            assert sorted(found) == sorted(expected), (s, t)
+
+
+def test_sc_search_yields_only_cores_and_all_of_them():
+    # without the honest filter of brute_force_sc_cores: a growth rule that
+    # admitted a non-core would show here
+    import corepaths.oracles as oracles
+
+    for a, b in coprime_pairs(15):
+        for s, t in ((a, b), (b, a)):
+            count = 0
+            for hooks in oracles._sc_hook_sets(s, t):
+                p = partition_from_diagonal_hooks(hooks)
+                assert is_t_core(p, s) and is_t_core(p, t), (s, t, hooks)
+                count += 1
+            assert count == comb(s // 2 + t // 2, s // 2), (s, t)
 
 
 def test_sc_cores_search_deeper_than_the_recursion_limit():

@@ -5,35 +5,25 @@ below it in the tests:
 
 * literal sweeps (``iter_partitions``, ``iter_partitions_up_to``): every
   partition up to a size bound is materialised and tested cell-honestly;
-* ``cores_within`` and ``survey_partitions``: depth-first search over the
-  partitions contained in a given shape (``cores_within``) or of size at
-  most a bound (``survey_partitions``), pruned by the observation that
-  once a row shorter than j is appended, every hook in columns > j is
-  final, so a forbidden hook there kills the whole subtree.  Visits exactly
-  the prefixes whose finalised cells are clean.  The lowest clean next row
-  costs two bisections per node, not a scan of the k fixed rows: row i
-  would finalise a hook f in column k + 1 - f - (i - rows[i]) (1-based i),
-  and i - rows[i] strictly increases down weakly decreasing rows, so these
-  columns strictly decrease.  The largest one not right of the last row is
-  therefore the one at the index ``bisect_left`` finds, and the bound is
-  exactly the one a scan of every row would give;
-* ``brute_force_sc_cores``: self-conjugate cores are grown through their
-  diagonal hook sets, one member at a time in increasing order, from the
-  empty set.  The core condition, read off the hook definition, only
-  relates each new largest hook to smaller ones, so every set the search
-  reaches is a core and it never backtracks out of a dead end.
+* ``cores_within``, ``all_cores_size_stats`` and ``survey_partitions``:
+  (s, t)-cores are grown through their first-column hook sets, one member
+  at a time in increasing order, from the empty set, capped by size;
+* ``brute_force_sc_cores``: self-conjugate cores are grown the same way
+  through their diagonal hook sets.
 
-The row walks only ever skip subtrees whose completions provably fail the
-honest hook test, the hook-set search only ever skips sets that break the
-core condition, and every emitted candidate is filtered through the honest
-test again, so pruning bugs can drop results but never admit wrong ones;
-the set-equality tests against the literal sweeps guard the rest.
+In both searches the core condition, read off the hook definition, only
+relates each new largest hook to smaller ones, so every set the search
+reaches is a core and it never backtracks out of a dead end.  The searches
+only ever skip sets that break the core condition, and every emitted
+candidate is filtered through the honest hook test again, so a wrong rule
+can drop results but never admit wrong ones; the set-equality tests
+against the literal sweeps guard the rest.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from math import inf
 from typing import Iterator
 
 from .bijection import CoreParams, check_budget, largest_core
@@ -95,120 +85,99 @@ def iter_subpartitions(shape: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     yield from rec(0, shape[0] if shape else 0)
 
 
-def _dirty_bound(a: list[int], v: int, s: int, t: int) -> int:
-    """Largest column j <= v where some fixed row would get a finalised hook
-    of s or t if the next row ended left of j; 0 if none.
-
-    ``v`` is the row just appended as row k = len(a), and a[i-1] is
-    i - rows[i-1] for every fixed row i.  Appending a row of length u
-    finalises cells (i, j) for u < j <= v: their columns gain no further
-    cells, so their hooks are rows[i] - j + k - i + 1 = k + 1 - a_i - j for
-    good.  Row i thus has a forbidden hook f in candidate column
-    j_i = k + 1 - f - a_i.  The rows weakly decrease, so a_i strictly
-    increases and j_i strictly decreases in i: the largest j_i <= v is the
-    one at the first index with a_i >= k + 1 - v - f, found by bisection,
-    and it counts only if it is >= 1 (every later one is smaller still).
-    Appending any u >= the returned bound is clean, any smaller u (and
-    stopping, when the bound is positive) finalises a forbidden hook.
-    """
-    k = len(a)
-    c = k + 1 - v
-    i = bisect_left(a, c - s)
-    js = k + 1 - s - a[i] if i < k else 0
-    i = bisect_left(a, c - t)
-    jt = k + 1 - t - a[i] if i < k else 0
-    return max(js, jt, 0)
-
-
-def _core_walk(
-    shape: tuple[int, ...],
-    s: int,
-    t: int,
-    max_size: int,
-    visited: list[int] | None = None,
+def _core_hook_sets(
+    s: int, t: int, max_size: float = inf
 ) -> Iterator[tuple[int, ...]]:
-    """Candidate (s, t)-cores contained in ``shape`` and of size at most
-    ``max_size``, by pruned depth-first search over rows (longest first).
+    """First-column hook sets of the (s, t)-cores of size at most
+    ``max_size``, each in increasing order, by one depth-first search from
+    the empty set, which is yielded first.
 
-    A row is only appended when it finalises no forbidden hook, and a prefix
-    is only emitted when stopping there finalises none either, so every
-    partition within both caps is emitted or lies in a subtree that provably
-    holds no core.  The search keeps its own stack of levels, each the next
-    row length to try and the lowest one allowed: a column of 1s is never
-    pruned, so the depth can reach ``len(shape)``.  When ``visited`` is
-    given, the number of prefixes appended is added to ``visited[0]`` once
-    the walk is exhausted.
+    The rule comes from the hook definition alone.  A partition with k rows
+    has the first-column hook set beta = {rows[i] + k - i : 1 <= i <= k};
+    padding the rows by zeros adds -1, -2, ... and never 0.  A cell of hook
+    length h pairs some x in that padded set with x - h outside it, so the
+    partition is an h-core exactly when h is not in beta and every u in
+    beta with u > h has u - h in beta.
+
+    Checked when u is the largest member, the rule names only members below
+    it, so beta without its largest member obeys it too and the valid sets
+    form a tree rooted at the empty set, with no dead ends.  The children of
+    beta add one u above max beta, no higher than max beta + min(s, t)
+    (above that u - min(s, t) would have to be in beta) and no higher than
+    the Frobenius number st - s - t, which no hook of an (s, t)-core
+    exceeds.  The size is sum(beta) - C(k, 2), so adding u to k members
+    adds u - k >= 1 cells and the size cap bounds u directly.
     """
-    yield ()
-    rows: list[int] = []
-    a: list[int] = []  # a[i-1] = i - rows[i-1], strictly increasing
+    top = s * t - s - t
+    step = min(s, t)
+    member = bytearray(top + 1)
+    chosen: list[int] = []
     size = 0
-    depth = len(shape)
-    top = min(shape[0], max_size) if shape else 0
-    appended = top
-    nxt = [top]  # next row length to try, per level
-    low = [1]  # lowest row length allowed, per level
-    while nxt:
-        v = nxt[-1]
-        if v < low[-1]:
-            nxt.pop()
-            low.pop()
-            if rows:
-                size -= rows.pop()
-                a.pop()
-            continue
-        nxt[-1] = v - 1
-        rows.append(v)
-        k = len(rows)
-        a.append(k - v)
-        size += v
-        bound = _dirty_bound(a, v, s, t)
-        if not bound:
-            yield tuple(rows)
-        lo = bound or 1
-        cap = min(v, shape[k], max_size - size) if k < depth else 0
-        if cap >= lo:
-            appended += cap - lo + 1
-            nxt.append(cap)
-            low.append(lo)
+    # per level, the candidates still to try for the next member
+    levels = [iter(range(1, min(step, top, max_size) + 1))]
+    yield ()
+    while levels:
+        for u in levels[-1]:
+            if (member[u - s] if u > s else u != s) and (
+                member[u - t] if u > t else u != t
+            ):
+                member[u] = 1
+                size += u - len(chosen)
+                chosen.append(u)
+                hi = min(u + step, top, max_size - size + len(chosen))
+                levels.append(iter(range(u + 1, hi + 1)))
+                yield tuple(chosen)
+                break
         else:
-            size -= v
-            rows.pop()
-            a.pop()
-    if visited is not None:
-        visited[0] += appended
+            levels.pop()
+            if chosen:
+                u = chosen.pop()
+                member[u] = 0
+                size -= u - len(chosen)
+
+
+def _partition_of(hooks: tuple[int, ...]) -> Partition:
+    """The partition with the increasing first-column hook set ``hooks``:
+    rows b - j over it (0-based j), reversed."""
+    return Partition(tuple(b - j for j, b in enumerate(hooks))[::-1])
 
 
 def cores_within(shape: tuple[int, ...], s: int, t: int) -> list[tuple[int, ...]]:
-    """All (s, t)-cores contained in ``shape``, by pruned depth-first search
-    over rows.  Every partition the walk emits is filtered through the
-    honest hook test again."""
-    shape = tuple(shape)
-    found = []
-    for rows in _core_walk(shape, s, t, sum(shape)):
-        p = Partition(rows)
-        if is_t_core(p, s) and is_t_core(p, t):
-            found.append(rows)
-    return found
+    """All (s, t)-cores contained in ``shape``, by the hook-set search
+    capped at the size of ``shape``.  Every set the search yields is
+    filtered through the honest hook test again.  Raises ValueError unless
+    (s, t) is coprime, since only then does the Frobenius number bound the
+    hooks, and unless ``shape`` is a partition."""
+    CoreParams(s, t)
+    outer = Partition(shape)
+    return [
+        p.rows
+        for p in map(_partition_of, _core_hook_sets(s, t, outer.size))
+        if is_t_core(p, s) and is_t_core(p, t) and outer.contains(p)
+    ]
 
 
 def brute_force_all_cores_count(
     s: int, t: int, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> int:
-    """Count ALL (not only self-conjugate) (s, t)-cores by enumerating
-    within the largest core."""
+    """Count ALL (not only self-conjugate) (s, t)-cores by the hook-set
+    search."""
     return all_cores_size_stats(s, t, budget)[0]
 
 
 def all_cores_size_stats(
     s: int, t: int, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> tuple[int, int]:
-    """(count, total size) over ALL (s, t)-cores, same route as the count.
-    The budget counts the C(s+t, s)/(s+t) cores the search lists."""
-    params = CoreParams(s, t)
-    check_budget("core", params.all_core_count, budget)
-    cores = cores_within(largest_core(params).rows, s, t)
-    return len(cores), sum(sum(c) for c in cores)
+    """(count, total size) over ALL (s, t)-cores, by the uncapped hook-set
+    search, every set filtered through the honest hook test.  The budget
+    counts the C(s+t, s)/(s+t) cores the search lists."""
+    check_budget("core", CoreParams(s, t).all_core_count, budget)
+    sizes = [
+        p.size
+        for p in map(_partition_of, _core_hook_sets(s, t))
+        if is_t_core(p, s) and is_t_core(p, t)
+    ]
+    return len(sizes), sum(sizes)
 
 
 def _sc_hook_sets(s: int, t: int) -> Iterator[tuple[int, ...]]:
@@ -290,8 +259,8 @@ class PartitionSurvey:
 
     ``scanned`` counts the partitions the survey accounts for, every one of
     size <= the bound, not ones visited one by one: each is either tested
-    or lies in a search subtree proven to hold no core.  ``visited`` counts
-    the nonempty prefixes the pruned search did visit.
+    or breaks the core condition the search grows by.  ``visited`` counts
+    the nonempty hook sets the search did visit.
     """
 
     scanned: int
@@ -305,25 +274,23 @@ def survey_partitions(s: int, t: int, limit: int) -> PartitionSurvey:
     """Find every (s, t)-core of size <= limit and count how many of those
     stick out of the largest core.
 
-    The search is the pruned row walk of ``cores_within``, capped by size
-    alone (a limit x limit box holds every partition of size <= limit), so
-    it never assumes containment in the largest core; every partition it
-    emits is filtered through the honest hook test.  The literal route is
-    ``iter_partitions_up_to`` plus the same hook predicates.
+    The search is the hook-set search of ``cores_within``, capped by size
+    alone, so it never assumes containment in the largest core; every set
+    it yields is filtered through the honest hook test.  The literal route
+    is ``iter_partitions_up_to`` plus the same hook predicates.
     """
     params = CoreParams(s, t)
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     lam = largest_core(params)
     cores = core_size_total = outside = 0
-    visited = [0]
-    for rows in _core_walk((limit,) * limit, s, t, limit, visited):
-        p = Partition(rows)
+    # the empty set comes first, so the last index counts the nonempty ones
+    for visited, p in enumerate(map(_partition_of, _core_hook_sets(s, t, limit))):
         if is_t_core(p, s) and is_t_core(p, t):
             cores += 1
             core_size_total += p.size
             if not lam.contains(p):
                 outside += 1
     return PartitionSurvey(
-        _partitions_up_to(limit), cores, core_size_total, outside, visited[0]
+        _partitions_up_to(limit), cores, core_size_total, outside, visited
     )

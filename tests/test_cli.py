@@ -342,7 +342,7 @@ def test_bruteforce_refuses_before_any_search(capsys, monkeypatch, argv, count):
         raise AssertionError("searched past the budget")
 
     monkeypatch.setattr(oracles, "_sc_hook_sets", searched)
-    monkeypatch.setattr(oracles, "cores_within", searched)
+    monkeypatch.setattr(oracles, "_core_hook_sets", searched)
     err = (
         f"error: brute-force search lists {count} cores, over the budget of 100000; "
         "raise the budget to proceed\n"

@@ -23,6 +23,7 @@ from corepaths import (
     survey_partitions,
 )
 from corepaths.oracles import iter_subpartitions
+from corepaths.partitions import is_t_core_scan
 
 
 def _reference_partitions(n, cap=None):
@@ -88,93 +89,92 @@ def test_cores_within_output_is_verified_core_set():
         assert (rows in found) == expected
 
 
-def test_cores_within_rechecks_what_the_walk_emits(monkeypatch):
-    # with pruning switched off the walk emits every subpartition; the
-    # honest re-check must still leave exactly the cores
+def test_cores_within_validates_its_inputs():
+    # the search stops at the Frobenius number st - s - t, which bounds
+    # hooks only for coprime pairs, so a non-coprime pair is refused, as is
+    # a shape that is not a partition
+    with pytest.raises(ValueError):
+        cores_within((3, 1, 1), 2, 4)
+    with pytest.raises(ValueError):
+        cores_within((1, 3), 2, 3)
+
+
+def test_core_hook_sets_yield_only_cores_and_all_of_them():
+    # without the honest filter of the callers: a growth rule that admitted
+    # a non-core, or listed one twice, would show here
     import corepaths.oracles as oracles
 
-    lam = largest_core(CoreParams(4, 5))
-    expected = cores_within(lam.rows, 4, 5)
-    monkeypatch.setattr(oracles, "_dirty_bound", lambda a, v, s, t: 0)
-    assert len(list(oracles._core_walk(lam.rows, 4, 5, lam.size))) > len(expected)
-    assert cores_within(lam.rows, 4, 5) == expected
-    assert brute_force_all_cores_count(4, 5) == 14
+    for a, b in coprime_pairs(11):
+        for s, t in ((a, b), (b, a)):
+            found = list(oracles._core_hook_sets(s, t))
+            assert len(found) == len(set(found)), (s, t)
+            for hooks in found:
+                assert list(hooks) == sorted(hooks), (s, t, hooks)
+                p = oracles._partition_of(hooks)
+                assert sorted(p.first_column_hooks()) == list(hooks)
+                assert is_t_core(p, s) and is_t_core(p, t), (s, t, hooks)
+            assert len(found) * (s + t) == comb(s + t, s), (s, t)
 
 
-def _reference_dirty_bound(rows, s, t):
-    # the O(k) scan: every fixed row, both forbidden hooks
-    k = len(rows)
-    w = rows[-1]
-    bound = 0
-    for i in range(1, k + 1):
-        base = rows[i - 1] + k - i + 1  # hook of cell (i, j) is base - j
-        for f in (s, t):
-            j = base - f
-            if bound < j <= w:
-                bound = j
-    return bound
-
-
-def _reference_walk(shape, s, t, max_size):
-    # the pruned walk by recursion, on the O(k) scan
-    out = [()]
-    rows = []
-
-    def extend(cap, low, size):
-        for v in range(cap, low - 1, -1):
-            rows.append(v)
-            bound = _reference_dirty_bound(rows, s, t)
-            if bound == 0:
-                out.append(tuple(rows))
-            k = len(rows)
-            below = min(v, shape[k], max_size - size - v) if k < len(shape) else 0
-            extend(below, max(bound, 1), size + v)
-            rows.pop()
-
-    extend(min(shape[0], max_size) if shape else 0, 1, 0)
-    return out
-
-
-def _walk_cases(max_t, max_limit):
-    # (shape, s, t, max_size): the largest core, then size-capped boxes
-    for s, t in coprime_pairs(max_t):
-        lam = largest_core(CoreParams(s, t))
-        yield lam.rows, s, t, lam.size
-        for limit in range(max_limit + 1):
-            yield (limit,) * limit, s, t, limit
-
-
-def test_dirty_bound_matches_the_row_scan_on_every_visited_prefix(monkeypatch):
+def test_core_hook_sets_match_the_literal_sweep_under_every_cap():
     import corepaths.oracles as oracles
 
-    bisected = oracles._dirty_bound
-    calls = [0]
-
-    def checked(a, v, s, t):
-        rows = [i - x for i, x in enumerate(a, start=1)]
-        assert rows[-1] == v
-        got = bisected(a, v, s, t)
-        assert got == _reference_dirty_bound(rows, s, t), (rows, s, t)
-        calls[0] += 1
-        return got
-
-    monkeypatch.setattr(oracles, "_dirty_bound", checked)
-    for shape, s, t, max_size in _walk_cases(9, 20):
-        calls[0] = 0
-        visited = [0]
-        for _ in oracles._core_walk(shape, s, t, max_size, visited):
-            pass
-        # one bound per appended prefix, and the walk counts them all
-        assert visited[0] == calls[0], (shape, s, t)
+    caps = range(21)
+    for a, b in coprime_pairs(7):
+        for s, t in ((a, b), (b, a)):
+            literal = [
+                rows
+                for rows in iter_partitions_up_to(max(caps))
+                if is_t_core(Partition(rows), s) and is_t_core(Partition(rows), t)
+            ]
+            for cap in caps:
+                found = [
+                    oracles._partition_of(hooks).rows
+                    for hooks in oracles._core_hook_sets(s, t, cap)
+                ]
+                expected = sorted(rows for rows in literal if sum(rows) <= cap)
+                assert sorted(found) == expected, (s, t, cap)
 
 
-def test_core_walk_emits_the_row_scan_walk_sequence():
+def test_callers_filter_what_the_search_yields(monkeypatch):
+    # a search that also yields non-cores must not change any result: the
+    # honest re-check leaves exactly the cores
     import corepaths.oracles as oracles
 
-    for shape, s, t, max_size in _walk_cases(9, 25):
-        assert list(oracles._core_walk(shape, s, t, max_size)) == _reference_walk(
-            shape, s, t, max_size
-        ), (shape, s, t)
+    search = oracles._core_hook_sets
+
+    def noisy(s, t, *cap):
+        for hooks in search(s, t, *cap):
+            yield hooks
+            top = hooks[-1] if hooks else 0
+            for u in range(top + 1, top + s + t + 1):
+                p = oracles._partition_of(hooks + (u,))
+                if not (is_t_core_scan(p, s) and is_t_core_scan(p, t)):
+                    yield hooks + (u,)
+
+    cases = [(2, 3), (3, 4), (4, 5), (5, 7), (7, 5)]
+    lams = {(s, t): largest_core(CoreParams(s, t)).rows for s, t in cases}
+    expected = {
+        (s, t): (
+            cores_within(lams[s, t], s, t),
+            all_cores_size_stats(s, t),
+            survey_partitions(s, t, 12),
+        )
+        for s, t in cases
+    }
+    monkeypatch.setattr(oracles, "_core_hook_sets", noisy)
+    for s, t in cases:
+        within, stats, sv = expected[s, t]
+        assert cores_within(lams[s, t], s, t) == within
+        assert all_cores_size_stats(s, t) == stats
+        noisy_sv = survey_partitions(s, t, 12)
+        assert noisy_sv.visited > sv.visited  # the extra sets were yielded
+        assert (
+            noisy_sv.scanned,
+            noisy_sv.cores,
+            noisy_sv.core_size_total,
+            noisy_sv.outside_largest,
+        ) == (sv.scanned, sv.cores, sv.core_size_total, sv.outside_largest)
 
 
 def test_anderson_counts():
@@ -472,19 +472,43 @@ def test_survey_covers_every_partition_up_to_the_limit():
 
 
 def test_survey_reports_the_prefixes_it_visited():
-    # 14,013 prefixes visited instead of 30,053,954 partitions
+    # 131 hook sets visited instead of 30,053,954 partitions; every set the
+    # search visits is a core, and the empty one is not counted
     sv = survey_partitions(6, 7, 70)
-    assert sv.visited == 14013
-    assert sv.cores <= sv.visited
+    assert sv.visited == 131
+    assert sv.visited == sv.cores - 1
     assert survey_partitions(3, 4, 0).visited == 0
     assert survey_partitions(3, 4, 1).visited == 1
 
 
 def test_survey_walks_deeper_than_the_recursion_limit():
-    # a column of 1s is never pruned, so the search reaches depth `limit`
+    # a size cap far above the recursion limit: the search is as deep as
+    # the largest hook set, here 1 for the (2, 3)-core (1)
     limit = sys.getrecursionlimit() + 100
     sv = survey_partitions(2, 3, limit)
     assert (sv.cores, sv.core_size_total, sv.outside_largest) == (2, 1, 0)
+
+
+def test_all_cores_search_deeper_than_the_recursion_limit():
+    # the (2, 2L + 3)-cores are the staircases with at most L + 1 rows, so
+    # the deepest hook set has L + 1 members
+    import corepaths.oracles as oracles
+
+    L = 1000
+    s, t = 2, 2 * L + 3
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        count, total = all_cores_size_stats(s, t)
+        deepest = max(map(len, oracles._core_hook_sets(s, t)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert deepest == L + 1
+    # Anderson's count and Armstrong's average (s + t + 1)(s - 1)(t - 1)/24
+    assert count * (s + t) == comb(s + t, s)
+    assert 24 * total == count * (s + t + 1) * (s - 1) * (t - 1)
+    assert (count, total) == (1002, 167668501)
 
 
 def test_survey_rejects_negative_limit():

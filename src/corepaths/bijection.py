@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate
 
 from .partitions import Partition, partition_from_diagonal_hooks, validate_hook_set
 
@@ -25,6 +24,9 @@ from .partitions import Partition, partition_from_diagonal_hooks, validate_hook_
 # about overflow: it bounds array size and work, since the array has about
 # s*t/4 entries and the largest core about (s*t)^2/24 cells.
 _MAX_ST = 2**31
+# Cap on the m*n cells of a built array.  The largest core, which map,
+# unmap and largest build from it, has about 2*m*n rows.
+_MAX_CELLS = 10**6
 # Counts with more decimal digits than this are described by their digit
 # count: printing them would flood a message (and past 4300 digits Python
 # refuses to convert them at all).
@@ -154,19 +156,9 @@ class CoreArray:
             raise ValueError(f"cell ({i}, {j}) outside the {self.m}x{self.n} array")
         return self.entries[i - 1][j - 1]
 
-    def row_prefix_sums(self) -> tuple[tuple[int, ...], ...]:
-        """(m, n+1) table whose [i][k] entry is the sum of the first k
-        entries of row i; used by the path fold."""
-        return tuple(tuple(accumulate(row, initial=0)) for row in self.entries)
-
     def positive_sum(self) -> int:
         """Sum of the positive entries; equals the largest core size."""
         return sum(v for row in self.entries for v in row if v > 0)
-
-    @cached_property
-    def abs_entries(self) -> frozenset[int]:
-        """The absolute values of all entries: every hook a path can carry."""
-        return frozenset(abs(v) for row in self.entries for v in row)
 
     @cached_property
     def _row_cuts(self) -> tuple[tuple[tuple[int, ...], tuple[slice, ...]], ...]:
@@ -198,9 +190,14 @@ def build_array(s: int, t: int) -> CoreArray:
     """Build the signed hook array for a coprime pair (s, t).
 
     Cached: arrays are immutable (the entries are nested tuples), so the
-    same instance is shared by every caller.
+    same instance is shared by every caller.  Refused before anything is
+    allocated when it would have over ``_MAX_CELLS`` cells.
     """
     params = CoreParams(s, t)
+    if params.cell_count > _MAX_CELLS:
+        raise ValueError(
+            f"m*n = {params.cell_count} array cells is over the supported maximum of 10**6"
+        )
     entries = tuple(
         tuple(s * t - (2 * j - 1) * s - (2 * i - 1) * t for j in range(1, params.n + 1))
         for i in range(1, params.m + 1)
@@ -289,45 +286,27 @@ def path_from_core(p: Partition, params: CoreParams) -> LatticePath:
     """The unique path mapping to ``p``; raises if ``p`` is not a
     self-conjugate (s, t)-core.
 
-    Solved cell by cell: a positive entry lies below the path exactly when
-    its value is a diagonal hook of ``p``, a negative entry lies above
-    exactly when its absolute value is.  The resulting above-set must be a
-    partition shape, and the candidate path must map back to ``p``.
+    Solved cell by cell: a cell lies above the path exactly when it holds a
+    positive entry that is not a diagonal hook of ``p``, or a negative entry
+    whose absolute value is.  Each row's cut counts those cells.  The
+    array's absolute values are pairwise distinct, so ``p`` is in the image
+    exactly when the cuts weakly decrease and carry ``p``'s hook set.
     """
     try:
-        hooks = set(p.diagonal_hooks())
+        hooks = p.diagonal_hooks()
     except ValueError:
         raise ValueError(
             f"not in the bijection image: {p} is not self-conjugate"
         ) from None
+    members = set(hooks)
     arr = build_array(params.s, params.t)
-    if not hooks <= arr.abs_entries:
-        raise ValueError(
-            f"not in the bijection image: hooks {sorted(hooks - arr.abs_entries)} "
-            f"do not occur in the ({params.s}, {params.t}) array"
-        )
-    mu_rows = []
-    for row in arr.entries:
-        above = 0
-        for j, v in enumerate(row):
-            is_above = (v not in hooks) if v > 0 else (-v in hooks)
-            if is_above:
-                if above != j:
-                    raise ValueError(
-                        f"not in the bijection image: above-cells of {p} do not "
-                        "form a partition shape"
-                    )
-                above += 1
-        mu_rows.append(above)
-    if any(mu_rows[i] < mu_rows[i + 1] for i in range(len(mu_rows) - 1)):
-        raise ValueError(
-            f"not in the bijection image: above-cells of {p} do not form a "
-            "partition shape"
-        )
-    path = LatticePath(arr.m, arr.n, Partition(tuple(r for r in mu_rows if r > 0)))
-    if core_from_path(path, params) != p:
+    cuts = tuple(
+        sum((v not in members) if v > 0 else (-v in members) for v in row)
+        for row in arr.entries
+    )
+    if any(a < b for a, b in zip(cuts, cuts[1:])) or arr.hook_set(cuts) != hooks:
         raise ValueError(f"not in the bijection image: {p}")
-    return path
+    return LatticePath(arr.m, arr.n, Partition(tuple(k for k in cuts if k)))
 
 
 def core_size_from_path(path: LatticePath, params: CoreParams) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator
 
 from .bijection import CoreParams, LatticePath, build_array, check_budget, largest_core
@@ -27,37 +28,21 @@ _CONTAINMENT_LIMIT = 10**5  # paths; verify_pair sweeps containment up to it
 
 @dataclass(frozen=True)
 class CoreStats:
-    """Exact statistics of the set of self-conjugate (s, t)-cores."""
+    """Exact statistics of the set of self-conjugate (s, t)-cores, and how
+    many cores attain the largest size."""
 
     count: int
     total_size: int
-    average_size: Fraction
     max_size: int
+    max_multiplicity: int
 
     def __post_init__(self):
-        assert self.average_size * self.count == self.total_size
         if self.count:
             assert 0 <= self.max_size <= self.total_size
 
-    @classmethod
-    def from_fold(cls, fold: "FoldResult") -> "CoreStats":
-        """The statistics a fold over every path gives."""
-        return cls(
-            count=fold.count,
-            total_size=fold.total,
-            average_size=Fraction(fold.total, fold.count),
-            max_size=fold.max_size,
-        )
-
-
-@dataclass(frozen=True)
-class FoldResult:
-    """Raw outcome of folding sizes over every path."""
-
-    count: int
-    total: int
-    max_size: int
-    max_multiplicity: int
+    @property
+    def average_size(self) -> Fraction:
+        return Fraction(self.total_size, self.count)
 
 
 def iter_box_partitions(m: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -105,13 +90,25 @@ def coprime_pairs(limit: int) -> list[tuple[int, int]]:
     ]
 
 
+def _prefix_rows(params: CoreParams) -> Iterator[tuple[int, ...]]:
+    """The row prefix sums of the (s, t) array, bottom row first, each made
+    when it is read.  Row i is c - s, c - 3s, ..., c - (2n-1)s with
+    c = st - (2i-1)t, so its first k entries sum to k*c - s*k^2."""
+    s, t, n = params.s, params.t, params.n
+    return (
+        tuple(accumulate(range(c - s, c - (2 * n + 1) * s, -2 * s), initial=0))
+        for c in range(s * t - (2 * params.m - 1) * t, s * t, 2 * t)
+    )
+
+
 def _iter_above_sums(prefix, n: int) -> Iterator[int]:
     """The above-sum of every path of the box, in the order of
     ``iter_box_partitions``: the sum of the array entries above the path.
 
-    prefix is the (m, n+1) row-prefix-sum table of the array.  Each
-    colexicographic successor bumps the first bumpable row and resets the
-    rows before it to the new value, and the sum follows those rows alone.
+    prefix is the (m, n+1) row-prefix-sum table of the array, top row
+    first.  Each colexicographic successor bumps the first bumpable row and
+    resets the rows before it to the new value, and the sum follows those
+    rows alone.
     """
     m = len(prefix)
     mu = [0] * m
@@ -130,12 +127,12 @@ def _iter_above_sums(prefix, n: int) -> Iterator[int]:
             return
 
 
-def fold_path_sizes(s: int, t: int) -> FoldResult:
+def fold_path_sizes(s: int, t: int) -> CoreStats:
     """Fold exact size statistics over every path of the (s, t) box, one
     path at a time: the walk ``verify_pair`` checks the staircase fold by."""
     params = CoreParams(s, t)
     top = params.max_core_size
-    sums = _iter_above_sums(build_array(s, t).row_prefix_sums(), params.n)
+    sums = _iter_above_sums(tuple(_prefix_rows(params))[::-1], params.n)
     count = above_total = k = 0
     low = top + 1  # every above-sum is at most top, a size at least 0
     for count, above in enumerate(sums, 1):
@@ -145,25 +142,26 @@ def fold_path_sizes(s: int, t: int) -> FoldResult:
         elif above == low:
             k += 1
     assert count == params.path_count
-    return FoldResult(count, top * count - above_total, top - low, k)
+    return CoreStats(count, top * count - above_total, top - low, k)
 
 
-def _staircase_fold(weights, unit, shift, combine):
+def _staircase_fold(rows, width, unit, shift, combine):
     """Fold a semiring over every weakly decreasing sequence
     n >= mu_1 >= ... >= mu_m >= 0, the above-partitions of the m x n box.
 
-    weights is an (m, n+1) table: row i weighs mu_{i+1} = v by
-    weights[i][v].  ``shift(x, a)`` puts a row of weight a on top of every
-    sequence x stands for, ``combine(x, y)`` merges two disjoint sets of
-    sequences, and ``unit`` stands for the empty sequence.  The rows go
-    bottom up: after row i, acc[v] stands for every suffix mu_i, ..., mu_m
-    with mu_i <= v, a running prefix over v that row i-1 reads in place.
-    O(mn) shifts and combines.
+    rows gives the m weight rows bottom row first, each of ``width`` = n+1
+    weights: row i weighs mu_i = v by its v-th weight.  ``shift(x, a)``
+    puts a row of weight a on top of every sequence x stands for,
+    ``combine(x, y)`` merges two disjoint sets of sequences, and ``unit``
+    stands for the empty sequence.  After row i, acc[v] stands for every
+    suffix mu_i, ..., mu_m with mu_i <= v, a running prefix over v that row
+    i-1 reads in place, so one row is held at a time.  O(mn) shifts and
+    combines.
     """
-    acc = [unit] * len(weights[0])
-    for row in reversed(weights):
+    acc = [unit] * width
+    for row in rows:
         running = acc[0] = shift(acc[0], row[0])
-        for v in range(1, len(row)):
+        for v in range(1, width):
             running = acc[v] = combine(running, shift(acc[v], row[v]))
     return acc[-1]
 
@@ -187,14 +185,15 @@ def _size_combine(x, y):
     return (x[0] + y[0], x[1] + y[1], x[2], x[3] + y[3])
 
 
-def _staircase_sizes(s: int, t: int) -> FoldResult:
+def _staircase_sizes(s: int, t: int) -> CoreStats:
     """What ``fold_path_sizes`` computes, by the staircase fold over the
     array's row prefix sums in O(mn) steps instead of one per path."""
     params = CoreParams(s, t)
-    prefix = build_array(s, t).row_prefix_sums()
-    count, above, low, k = _staircase_fold(prefix, _SIZE_UNIT, _size_shift, _size_combine)
+    count, above, low, k = _staircase_fold(
+        _prefix_rows(params), params.n + 1, _SIZE_UNIT, _size_shift, _size_combine
+    )
     top = params.max_core_size
-    return FoldResult(count, top * count - above, top - low, k)
+    return CoreStats(count, top * count - above, top - low, k)
 
 
 def enumerated_stats(
@@ -208,7 +207,7 @@ def enumerated_stats(
     The statistics come from the staircase fold, whose m * n cells must be
     within ``budget``."""
     check_budget("cell", CoreParams(s, t).cell_count, budget)
-    return CoreStats.from_fold(_staircase_sizes(s, t))
+    return _staircase_sizes(s, t)
 
 
 def average_size_formula(s: int, t: int) -> Fraction:
@@ -220,7 +219,11 @@ def average_size_formula(s: int, t: int) -> Fraction:
 def total_size_from_path_counts(s: int, t: int) -> int:
     """Total size of all self-conjugate (s, t)-cores via the below-count
     table: the largest size times the path count, minus each array entry
-    weighted by how many paths it sits above."""
+    weighted by how many paths it sits above.
+
+    It reads the entries of ``build_array``, not the closed-form rows the
+    folds use, so ``total_matches_path_counts`` also ties those rows to the
+    array the bijection maps paths through."""
     from .identities import below_count_table
 
     params = CoreParams(s, t)
@@ -251,9 +254,11 @@ def verify_pair(
     """
     params = CoreParams(s, t)
     expected = check_budget("path", params.path_count, budget)
-    fold = _staircase_sizes(s, t)
+    # first, as it builds the array: a box over its cell cap is refused
+    # before the walk
+    path_counts_total = total_size_from_path_counts(s, t)
+    stats = _staircase_sizes(s, t)
     walk = fold_path_sizes(s, t)
-    stats = CoreStats.from_fold(fold)
 
     checks = []
 
@@ -261,7 +266,7 @@ def verify_pair(
         checks.append({"name": name, "pass": lhs == rhs, "lhs": lhs, "rhs": rhs})
 
     add("count_is_binomial", stats.count, expected)
-    add("total_matches_path_counts", stats.total_size, total_size_from_path_counts(s, t))
+    add("total_matches_path_counts", stats.total_size, path_counts_total)
     # 24 * total == (s+t+1)(s-1)(t-1) * count, the average formula cleared
     # of its denominator so both sides stay integers
     add(
@@ -270,11 +275,11 @@ def verify_pair(
         (s + t + 1) * (s - 1) * (t - 1) * stats.count,
     )
     add("max_is_closed_form", stats.max_size, params.max_core_size)
-    add("max_attained_once", fold.max_multiplicity, 1)
+    add("max_attained_once", stats.max_multiplicity, 1)
     add(
         "staircase_matches_walk",
-        [fold.count, fold.total, fold.max_size, fold.max_multiplicity],
-        [walk.count, walk.total, walk.max_size, walk.max_multiplicity],
+        [stats.count, stats.total_size, stats.max_size, stats.max_multiplicity],
+        [walk.count, walk.total_size, walk.max_size, walk.max_multiplicity],
     )
 
     if stats.count <= _CONTAINMENT_LIMIT:

@@ -101,7 +101,7 @@ def sweep17():
 def test_criterion_02_total_size_formula(sweep17):
     folds, elapsed = sweep17
     ok = all(
-        24 * fold.total
+        24 * fold.total_size
         == (s + t + 1) * (s - 1) * (t - 1) * comb(s // 2 + t // 2, s // 2)
         for (s, t), fold in folds.items()
     )

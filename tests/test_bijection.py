@@ -193,6 +193,45 @@ def test_path_from_core_rejects_non_members():
         path_from_core(Partition((2, 1)), CoreParams(2, 3))
 
 
+def test_path_from_core_accepts_exactly_the_cores():
+    # every self-conjugate partition with at most 3 diagonal hooks below 40
+    from itertools import combinations
+
+    from corepaths import partition_from_diagonal_hooks
+
+    odd = range(1, 40, 2)
+    candidates = [
+        partition_from_diagonal_hooks(hooks)
+        for k in range(4)
+        for hooks in combinations(odd, k)
+    ]
+    accepted = 0
+    for s, t in coprime_pairs(11):
+        params = CoreParams(s, t)
+        for p in candidates:
+            is_core = is_t_core(p, s) and is_t_core(p, t)
+            try:
+                path = path_from_core(p, params)
+            except ValueError as exc:
+                assert not is_core, (s, t, p)
+                assert str(exc).startswith("not in the bijection image: ")
+                continue
+            assert is_core, (s, t, p)
+            assert core_from_path(path, params) == p
+            accepted += 1
+    assert len(candidates) == 1351
+    assert accepted > 0
+
+
+def test_build_array_refuses_over_a_million_cells():
+    # (3, 2000003) has a 1 x 1000001 box, one cell over the cap
+    with pytest.raises(ValueError) as err:
+        build_array(3, 2000003)
+    assert str(err.value) == (
+        "m*n = 1000001 array cells is over the supported maximum of 10**6"
+    )
+
+
 def test_core_size_from_path_examples():
     assert core_size_from_path(FIG1_PATH, FIG1_PARAMS) == 25 == FIG1_CORE.size
     assert core_size_from_path(LatticePath(4, 5), FIG1_PARAMS) == 315

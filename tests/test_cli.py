@@ -406,6 +406,45 @@ def test_closed_stdout_pipe_exits_141_without_traceback(limit):
     assert err == b""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["largest"],
+        ["map", "--path", "[]"],
+        ["unmap", "--partition", "[1]"],
+    ],
+)
+def test_array_commands_refuse_a_box_over_the_cell_cap(argv):
+    # a 1 x 10000001 box: refused before the array or the core is built,
+    # under an address-space limit that building them would break
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    timed_main = (
+        "import sys, time\n"
+        "from corepaths.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", timed_main, *argv, "--s", "3", "--t", "20000003"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        "error: m*n = 10000001 array cells is over the supported maximum of 10**6\n"
+    )
+    assert float(proc.stdout) < 1.0
+
+
 def test_remaining_format_branches(capsys):
     code, out, _ = run(capsys, "enumerate", "--s", "3", "--t", "4", "--format", "csv")
     assert code == 0

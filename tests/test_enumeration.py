@@ -90,11 +90,63 @@ def test_enumerated_stats_against_naive_fold():
 
 
 def test_staircase_fold_equals_path_walk():
-    # FoldResult equality compares count, total, max and max multiplicity
+    # CoreStats equality compares count, total, max and max multiplicity
     for s in range(2, 22):
         for t in range(2, 22):
             if s != t and gcd(s, t) == 1:
                 assert enumeration._staircase_sizes(s, t) == fold_path_sizes(s, t), (s, t)
+
+
+def test_prefix_rows_are_the_array_row_prefix_sums():
+    # the closed-form rows, bottom row first, against the built array's
+    from itertools import accumulate
+
+    from corepaths import build_array
+
+    for s in range(2, 22):
+        for t in range(2, 22):
+            if s != t and gcd(s, t) == 1:
+                rows = list(enumeration._prefix_rows(CoreParams(s, t)))
+                expected = [tuple(accumulate(row, initial=0)) for row in build_array(s, t).entries]
+                assert rows[::-1] == expected, (s, t)
+
+
+def test_stats_never_build_the_array(monkeypatch):
+    from corepaths import bijection
+
+    def refuse(s, t):
+        raise AssertionError("the stats route built an array")
+
+    monkeypatch.setattr(bijection, "build_array", refuse)
+    monkeypatch.setattr(enumeration, "build_array", refuse)
+    st = enumerated_stats(101, 103)
+    assert (st.count, st.total_size, st.max_size, st.max_multiplicity) == (
+        comb(101, 50),
+        87125 * comb(101, 50),
+        4508400,
+        1,
+    )
+
+
+def test_stats_hold_one_row_at_a_time():
+    # the (501, 503) box has 250 x 251 cells; the fold keeps one row of 252
+    # semiring values, and nothing once it returns
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        st = enumerated_stats(501, 503)
+        assert st.average_size == average_size_formula(501, 503)
+        del st
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 10**6
+    assert kept - before < 10**3
 
 
 def test_staircase_fold_on_tied_weights():
@@ -112,7 +164,8 @@ def test_staircase_fold_on_tied_weights():
                     for mu in iter_box_partitions(m, n)
                 ]
                 assert enumeration._staircase_fold(
-                    weights,
+                    weights[::-1],
+                    n + 1,
                     enumeration._SIZE_UNIT,
                     enumeration._size_shift,
                     enumeration._size_combine,
@@ -124,7 +177,7 @@ def test_staircase_fold_closed_forms_far_over_the_path_budget(s, t):
     m, n = s // 2, t // 2
     fold = enumeration._staircase_sizes(s, t)
     assert fold.count == comb(m + n, m)
-    assert 24 * fold.total == (s + t + 1) * (s - 1) * (t - 1) * fold.count
+    assert 24 * fold.total_size == (s + t + 1) * (s - 1) * (t - 1) * fold.count
     assert fold.max_size == (s * s - 1) * (t * t - 1) // 24
     assert fold.max_multiplicity == 1
 

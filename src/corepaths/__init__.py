@@ -1,6 +1,10 @@
 """corepaths: exact enumeration of self-conjugate (s, t)-core partitions
 through lattice paths in the floor(s/2) x floor(t/2) signed hook array,
-with independent brute-force oracles and identity verification."""
+with independent brute-force oracles and identity verification.
+
+The package exports what the command line and its library entry points
+use, plus the types they return; everything else stays importable from
+its submodule."""
 
 from .bijection import (
     BudgetError,
@@ -9,54 +13,20 @@ from .bijection import (
     LatticePath,
     build_array,
     core_from_path,
-    core_size_from_path,
     largest_core,
     path_from_core,
     path_hook_set,
 )
-from .enumeration import (
-    CoreStats,
-    DEFAULT_PATH_BUDGET,
-    average_size_formula,
-    coprime_pairs,
-    enumerated_stats,
-    fold_path_sizes,
-    iter_box_partitions,
-    iter_paths,
-    report_all_pass,
-    total_size_from_path_counts,
-    verify_pair,
-)
-from .identities import (
-    below_count_table,
-    identity_report,
-    row_weighted_recurrence_holds,
-    sum_below,
-    sum_below_closed,
-    sum_below_times_col,
-    sum_below_times_col_closed,
-    sum_below_times_row,
-    sum_below_times_row_closed,
-    symmetry_holds,
-)
+from .enumeration import CoreStats, enumerated_stats, iter_paths, verify_pair
+from .identities import identity_report
 from .oracles import (
     PartitionSurvey,
     all_cores_size_stats,
-    brute_force_all_cores_count,
     brute_force_sc_cores,
     cores_within,
-    iter_partitions,
-    iter_partitions_up_to,
     survey_partitions,
 )
-from .partitions import (
-    Partition,
-    diagonal_hooks_within,
-    hook_set_is_t_core,
-    is_t_core,
-    partition_from_diagonal_hooks,
-    validate_hook_set,
-)
+from .partitions import Partition, diagonal_hooks_within
 
 __version__ = "0.1.0"
 
@@ -64,46 +34,22 @@ __all__ = [
     "BudgetError",
     "CoreArray",
     "CoreParams",
+    "CoreStats",
     "LatticePath",
+    "Partition",
+    "PartitionSurvey",
     "build_array",
     "core_from_path",
-    "core_size_from_path",
-    "largest_core",
     "path_from_core",
     "path_hook_set",
-    "CoreStats",
-    "DEFAULT_PATH_BUDGET",
-    "average_size_formula",
-    "coprime_pairs",
-    "enumerated_stats",
-    "fold_path_sizes",
-    "iter_box_partitions",
+    "largest_core",
     "iter_paths",
-    "report_all_pass",
-    "total_size_from_path_counts",
+    "enumerated_stats",
     "verify_pair",
-    "below_count_table",
     "identity_report",
-    "row_weighted_recurrence_holds",
-    "sum_below",
-    "sum_below_closed",
-    "sum_below_times_col",
-    "sum_below_times_col_closed",
-    "sum_below_times_row",
-    "sum_below_times_row_closed",
-    "symmetry_holds",
-    "PartitionSurvey",
+    "diagonal_hooks_within",
     "all_cores_size_stats",
-    "brute_force_all_cores_count",
     "brute_force_sc_cores",
     "cores_within",
-    "iter_partitions",
-    "iter_partitions_up_to",
     "survey_partitions",
-    "Partition",
-    "diagonal_hooks_within",
-    "hook_set_is_t_core",
-    "is_t_core",
-    "partition_from_diagonal_hooks",
-    "validate_hook_set",
 ]

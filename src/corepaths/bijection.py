@@ -27,6 +27,9 @@ _MAX_ST = 2**31
 # Cap on the m*n cells of a built array.  The largest core, which map,
 # unmap and largest build from it, has about 2*m*n rows.
 _MAX_CELLS = 10**6
+# Cap on the rows a listing job may hold and test: its core count times the
+# (s-1)(t-1)/2 rows of the largest core, which contains every (s, t)-core.
+_MAX_LISTED_ROWS = 10**7
 # Counts with more decimal digits than this are described by their digit
 # count: printing them would flood a message (and past 4300 digits Python
 # refuses to convert them at all).
@@ -72,6 +75,18 @@ def check_budget(unit: str, required: int, budget: int) -> int:
     if required > budget:
         raise BudgetError(unit, required, budget)
     return required
+
+
+def check_listing(params: CoreParams, cores: int) -> None:
+    """ValueError when listing ``cores`` (s, t)-cores may hold more than
+    ``_MAX_LISTED_ROWS`` rows: every core lies inside the largest one, so
+    its (s-1)(t-1)/2 rows bound each core's."""
+    rows = (params.s - 1) * (params.t - 1) // 2
+    if cores * rows > _MAX_LISTED_ROWS:
+        raise ValueError(
+            f"{describe_count(cores)} cores of up to {rows} rows each bound the listing "
+            f"at {describe_count(cores * rows)} rows, over the supported maximum of 10**7"
+        )
 
 
 @dataclass(frozen=True)
@@ -220,10 +235,6 @@ class LatticePath:
         if len(self.mu) > self.m or (self.mu.rows and self.mu.rows[0] > self.n):
             raise ValueError(f"mu = {self.mu} does not fit in a {self.m}x{self.n} box")
 
-    def is_above(self, i: int, j: int) -> bool:
-        """Whether cell (i, j) lies above the path."""
-        return j <= self.mu.row(i)
-
     def steps(self) -> str:
         """The path as a word over U/R read from the lower-left corner.
 
@@ -307,18 +318,6 @@ def path_from_core(p: Partition, params: CoreParams) -> LatticePath:
     if any(a < b for a, b in zip(cuts, cuts[1:])) or arr.hook_set(cuts) != hooks:
         raise ValueError(f"not in the bijection image: {p}")
     return LatticePath(arr.m, arr.n, Partition(tuple(k for k in cuts if k)))
-
-
-def core_size_from_path(path: LatticePath, params: CoreParams) -> int:
-    """Size of the core for a path, computed without building the partition:
-    the largest core size minus the sum of array entries above the path."""
-    arr = build_array(params.s, params.t)
-    if (path.m, path.n) != (arr.m, arr.n):
-        raise ValueError(
-            f"path box {path.m}x{path.n} does not match array {arr.m}x{arr.n}"
-        )
-    above = sum(sum(row[:k]) for row, k in zip(arr.entries, path.mu.rows))
-    return params.max_core_size - above
 
 
 def largest_core(params: CoreParams) -> Partition:

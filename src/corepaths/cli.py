@@ -25,6 +25,7 @@ from .bijection import (
     LatticePath,
     build_array,
     check_budget,
+    check_listing,
     core_from_path,
     describe_count,
     largest_core,
@@ -40,7 +41,7 @@ from .enumeration import (
     verify_pair,
 )
 from .identities import identity_report
-from .oracles import DEFAULT_ORACLE_BUDGET, brute_force_all_cores_count, brute_force_sc_cores
+from .oracles import DEFAULT_ORACLE_BUDGET, all_cores_size_stats, brute_force_sc_cores
 from .partitions import Partition
 
 
@@ -146,6 +147,7 @@ def _run_stats(args):
 def _run_enumerate(args):
     params = CoreParams(args.s, args.t)
     check_budget("path", params.path_count, _budget(args, "path", params.path_count))
+    check_listing(params, params.path_count)
     cores = ((path, core_from_path(path, params)) for path in iter_paths(params.m, params.n))
     return 0, [{"mu": list(p.mu.rows), "partition": list(c.rows), "size": c.size} for p, c in cores]
 
@@ -265,7 +267,7 @@ def _identities_csv(reports) -> str:
 def _run_bruteforce(args):
     budget = _budget(args)
     if args.all:
-        count = brute_force_all_cores_count(args.s, args.t, budget=budget)
+        count = all_cores_size_stats(args.s, args.t, budget=budget)[0]
         return 0, {"s": args.s, "t": args.t, "kind": "all", "count": count}
     cores = brute_force_sc_cores(args.s, args.t, budget=budget)
     return 0, {

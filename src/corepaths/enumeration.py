@@ -20,7 +20,7 @@ from itertools import accumulate
 from typing import Iterator
 
 from .bijection import CoreParams, LatticePath, build_array, check_budget, largest_core
-from .partitions import Partition, diagonal_hooks_within, partition_from_diagonal_hooks
+from .partitions import Partition, diagonal_hooks_within
 
 DEFAULT_PATH_BUDGET = 10**7
 _CONTAINMENT_LIMIT = 10**5  # paths; verify_pair sweeps containment up to it
@@ -240,7 +240,6 @@ def verify_pair(
     s: int,
     t: int,
     budget: int = DEFAULT_PATH_BUDGET,
-    oracle_budget: int | None = None,
 ) -> dict:
     """Cross-check every counting statement for one coprime pair.
 
@@ -248,9 +247,7 @@ def verify_pair(
     a list of {name, pass, lhs, rhs} checks, one of which compares them with
     the path walk.  Failed checks are reported, not raised.  The path count
     must be within ``budget``, and containment is swept up to
-    ``_CONTAINMENT_LIMIT`` paths.  Given ``oracle_budget``, the brute-force
-    set comparison runs too, and a self-conjugate core count over it
-    raises BudgetError.
+    ``_CONTAINMENT_LIMIT`` paths.
     """
     params = CoreParams(s, t)
     expected = check_budget("path", params.path_count, budget)
@@ -288,20 +285,6 @@ def verify_pair(
             not diagonal_hooks_within(hooks, outer) for hooks in _iter_hook_sets(params)
         )
         add("largest_core_contains_all", bad, 0)
-
-    if oracle_budget is not None:
-        from .oracles import brute_force_sc_cores
-
-        oracle = {p.rows for p in brute_force_sc_cores(s, t, budget=oracle_budget)}
-        image = {partition_from_diagonal_hooks(h).rows for h in _iter_hook_sets(params)}
-        checks.append(
-            {
-                "name": "oracle_set_equality",
-                "pass": image == oracle,
-                "lhs": len(image),
-                "rhs": len(oracle),
-            }
-        )
 
     average = stats.average_size
     return {

@@ -12,6 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
+from .bijection import _MAX_CELLS
+
 
 def path_prefix_table(a: int, b: int) -> list[list[int]]:
     """Pascal-style DP table: entry [x][y] counts monotone paths from (0, 0)
@@ -35,10 +37,13 @@ def below_count_table(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     (j-1, h) and a suffix from (j, h).  Cell (i, j) therefore counts the
     crossings of cell (i+1, j) plus those at height h = m - i alone, so the
     rows are built bottom up in O(mn) products.
-    Cached: the identity sweeps revisit each box several times.
+    Cached: the identity sweeps revisit each box several times.  Refused
+    before anything is allocated when the box has over ``_MAX_CELLS`` cells.
     """
     if m < 1 or n < 1:
         raise ValueError(f"box dimensions must be positive, got {m}x{n}")
+    if m * n > _MAX_CELLS:
+        raise ValueError(f"m*n = {m * n} table cells is over the supported maximum of 10**6")
     paths = path_prefix_table(n, m)
     rows = []
     below = [0] * n
@@ -49,19 +54,6 @@ def below_count_table(m: int, n: int) -> tuple[tuple[int, ...], ...]:
         ]
         rows.append(tuple(below))
     return tuple(reversed(rows))
-
-
-def below_count_table_by_enumeration(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Independent oracle for the table: walk every partition in the box and
-    count the cells above each path directly.  Exponential; small boxes only."""
-    from .enumeration import iter_box_partitions
-
-    f = [[0] * n for _ in range(m)]
-    for mu in iter_box_partitions(m, n):
-        for i in range(m):
-            for j in range(mu[i]):
-                f[i][j] += 1
-    return tuple(tuple(row) for row in f)
 
 
 def sum_below(m: int, n: int) -> int:
@@ -107,22 +99,6 @@ def row_weighted_recurrence_holds(m: int, n: int) -> bool:
         + comb(m + 1, 2) * comb(m + n - 1, m)
     )
     return lhs == rhs
-
-
-def column_pair_total(m: int, n: int) -> int:
-    """Triple count: over every partition mu in the box, the ways to choose
-    an ordered pair of cells in one column of mu with the second not lower,
-    i.e. sum of C(mu'_j + 1, 2) over the columns.  Equals the row-weighted
-    sum; exponential enumeration, small boxes only."""
-    from .enumeration import iter_box_partitions
-
-    total = 0
-    for mu in iter_box_partitions(m, n):
-        width = mu[0]
-        for j in range(1, width + 1):
-            col = sum(1 for r in mu if r >= j)
-            total += comb(col + 1, 2)
-    return total
 
 
 def symmetry_holds(m: int, n: int) -> bool:

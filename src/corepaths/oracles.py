@@ -1,10 +1,9 @@
 """Brute-force oracles, independent of the path bijection.
 
-Three routes of increasing cleverness, each cross-checked against the ones
-below it in the tests:
+Two searches, each cross-checked in the tests against the literal sweeps
+of ``tests/_reference.py``, which materialise every partition up to a size
+bound and test it cell-honestly:
 
-* literal sweeps (``iter_partitions``, ``iter_partitions_up_to``): every
-  partition up to a size bound is materialised and tested cell-honestly;
 * ``cores_within``, ``all_cores_size_stats`` and ``survey_partitions``:
   (s, t)-cores are grown through their first-column hook sets, one member
   at a time in increasing order, from the empty set, capped by size;
@@ -26,63 +25,10 @@ from dataclasses import dataclass
 from math import inf
 from typing import Iterator
 
-from .bijection import CoreParams, check_budget, largest_core
+from .bijection import CoreParams, check_budget, check_listing, largest_core
 from .partitions import Partition, is_t_core, partition_from_diagonal_hooks
 
 DEFAULT_ORACLE_BUDGET = 10**5
-
-
-def iter_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of exactly n as weakly decreasing tuples, by the
-    ascending-composition algorithm."""
-    if n < 0:
-        raise ValueError(f"size must be non-negative, got {n}")
-    if n == 0:
-        yield ()
-        return
-    a = [0] * (n + 1)
-    k = 1
-    y = n - 1
-    while k:
-        x = a[k - 1] + 1
-        k -= 1
-        while 2 * x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        l = k + 1
-        while x <= y:
-            a[k] = x
-            a[l] = y
-            yield tuple(a[l::-1])
-            x += 1
-            y -= 1
-        a[k] = x + y
-        y = x + y - 1
-        yield tuple(a[k::-1])
-
-
-def iter_partitions_up_to(limit: int) -> Iterator[tuple[int, ...]]:
-    """Every partition of every size 0..limit."""
-    for n in range(limit + 1):
-        yield from iter_partitions(n)
-
-
-def iter_subpartitions(shape: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every partition contained in ``shape`` componentwise."""
-    shape = tuple(shape)
-    stack: list[int] = []
-
-    def rec(i: int, cap: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(stack)
-        if i == len(shape):
-            return
-        for v in range(min(cap, shape[i]), 0, -1):
-            stack.append(v)
-            yield from rec(i + 1, v)
-            stack.pop()
-
-    yield from rec(0, shape[0] if shape else 0)
 
 
 def _core_hook_sets(
@@ -157,21 +103,15 @@ def cores_within(shape: tuple[int, ...], s: int, t: int) -> list[tuple[int, ...]
     ]
 
 
-def brute_force_all_cores_count(
-    s: int, t: int, budget: int = DEFAULT_ORACLE_BUDGET
-) -> int:
-    """Count ALL (not only self-conjugate) (s, t)-cores by the hook-set
-    search."""
-    return all_cores_size_stats(s, t, budget)[0]
-
-
 def all_cores_size_stats(
     s: int, t: int, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> tuple[int, int]:
     """(count, total size) over ALL (s, t)-cores, by the uncapped hook-set
     search, every set filtered through the honest hook test.  The budget
-    counts the C(s+t, s)/(s+t) cores the search lists."""
-    check_budget("core", CoreParams(s, t).all_core_count, budget)
+    counts the C(s+t, s)/(s+t) cores the search lists, and their rows must
+    be within the listing bound of ``check_listing``."""
+    params = CoreParams(s, t)
+    check_listing(params, check_budget("core", params.all_core_count, budget))
     sizes = [
         p.size
         for p in map(_partition_of, _core_hook_sets(s, t))
@@ -233,8 +173,10 @@ def brute_force_sc_cores(
 ) -> list[Partition]:
     """All self-conjugate (s, t)-cores, filtered through the honest hook
     test and sorted by (size, rows).  The budget counts the C(m+n, m)
-    cores the search lists."""
-    check_budget("core", CoreParams(s, t).path_count, budget)
+    cores the search lists, and their rows must be within the listing bound
+    of ``check_listing``."""
+    params = CoreParams(s, t)
+    check_listing(params, check_budget("core", params.path_count, budget))
     found = []
     for hooks in _sc_hook_sets(s, t):
         p = partition_from_diagonal_hooks(hooks)
@@ -276,8 +218,9 @@ def survey_partitions(s: int, t: int, limit: int) -> PartitionSurvey:
 
     The search is the hook-set search of ``cores_within``, capped by size
     alone, so it never assumes containment in the largest core; every set
-    it yields is filtered through the honest hook test.  The literal route
-    is ``iter_partitions_up_to`` plus the same hook predicates.
+    it yields is filtered through the honest hook test.  The literal route,
+    every partition up to the limit tested by the same hook predicates, is
+    in ``tests/_reference.py``.
     """
     params = CoreParams(s, t)
     if limit < 0:

@@ -144,20 +144,13 @@ def is_t_core(p: Partition, t: int) -> bool:
     Uses the first-column hook shortcut: a hook of length t exists in row i
     exactly when b - t is a non-negative value missing from the first-column
     hook set, for b the first-column hook of row i.  Agrees with the literal
-    all-cells scan (see ``is_t_core_scan``); the agreement is exercised in
-    the tests rather than assumed.
+    all-cells scan of ``tests/_reference.py``; the agreement is exercised
+    in the tests rather than assumed.
     """
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
     hooks = set(p.first_column_hooks())
     return hooks.issuperset([b - t for b in hooks if b >= t])
-
-
-def is_t_core_scan(p: Partition, t: int) -> bool:
-    """Literal definition of t-core: scan every cell for hook length t."""
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
-    return t not in set(p.hook_lengths())
 
 
 def validate_hook_set(hooks: Iterable[int]) -> tuple[int, ...]:
@@ -209,28 +202,3 @@ def diagonal_hooks_within(inner: tuple[int, ...], outer: tuple[int, ...]) -> boo
     decided by the first d rows, which the hooks compare one by one.
     """
     return len(inner) <= len(outer) and all(map(le, inner, outer))
-
-
-def hook_set_is_t_core(hooks: Iterable[int], t: int) -> bool:
-    """Decide t-core-ness of a self-conjugate partition from its diagonal
-    hook set alone.
-
-    Two conditions: every hook above 2t must have its 2t-predecessor in the
-    set, and no two hooks (a hook paired with itself included) may sum to a
-    multiple of 2t.  The self-pair rule is what rejects a diagonal hook that
-    is itself an odd multiple of t.  Equivalent to
-    ``is_t_core(partition_from_diagonal_hooks(hooks), t)``; the equivalence
-    is validated empirically in the tests.
-    """
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
-    hs = validate_hook_set(hooks)
-    present = set(hs)
-    for h in hs:
-        if h > 2 * t and h - 2 * t not in present:
-            return False
-    for i, a in enumerate(hs):
-        for b in hs[i:]:
-            if (a + b) % (2 * t) == 0:
-                return False
-    return True

@@ -17,27 +17,22 @@ from corepaths import (
     CoreParams,
     LatticePath,
     Partition,
-    brute_force_all_cores_count,
+    all_cores_size_stats,
     brute_force_sc_cores,
     build_array,
-    coprime_pairs,
     core_from_path,
-    core_size_from_path,
-    fold_path_sizes,
-    hook_set_is_t_core,
-    is_t_core,
+    identity_report,
     iter_paths,
     largest_core,
-    partition_from_diagonal_hooks,
     path_from_core,
     path_hook_set,
     survey_partitions,
 )
-from corepaths.identities import (
-    below_count_table,
-    below_count_table_by_enumeration,
-    identity_report,
-)
+from corepaths.enumeration import coprime_pairs, fold_path_sizes
+from corepaths.identities import below_count_table
+from corepaths.partitions import is_t_core, partition_from_diagonal_hooks
+
+from _reference import below_count_table_by_enumeration, core_size_from_path, hook_set_is_t_core
 
 
 def _report(name: str, ok: bool, elapsed: float, bound: float | None = None):
@@ -182,10 +177,10 @@ def test_criterion_07_size_shortcut_identity():
 def test_criterion_08_anderson_count():
     start = time.perf_counter()
     ok = all(
-        brute_force_all_cores_count(s, t) * (s + t) == comb(s + t, s)
+        all_cores_size_stats(s, t)[0] * (s + t) == comb(s + t, s)
         for s, t in coprime_pairs(8)
     )
-    ok = ok and brute_force_all_cores_count(4, 5) == 14
+    ok = ok and all_cores_size_stats(4, 5)[0] == 14
     _report("08 anderson count s<t<=8", ok, time.perf_counter() - start, 10.0)
 
 

@@ -8,14 +8,15 @@ from corepaths import (
     Partition,
     build_array,
     core_from_path,
-    core_size_from_path,
-    coprime_pairs,
-    is_t_core,
     iter_paths,
     largest_core,
     path_from_core,
     path_hook_set,
 )
+from corepaths.enumeration import coprime_pairs
+from corepaths.partitions import is_t_core
+
+from _reference import core_size_from_path
 
 FIG1_PARAMS = CoreParams(8, 11)
 FIG1_PATH = LatticePath(4, 5, Partition((4, 3, 3, 2)))
@@ -197,7 +198,7 @@ def test_path_from_core_accepts_exactly_the_cores():
     # every self-conjugate partition with at most 3 diagonal hooks below 40
     from itertools import combinations
 
-    from corepaths import partition_from_diagonal_hooks
+    from corepaths.partitions import partition_from_diagonal_hooks
 
     odd = range(1, 40, 2)
     candidates = [
@@ -247,7 +248,7 @@ def test_size_via_above_sum_is_independent():
         arr.entry(i, j)
         for i in range(1, 5)
         for j in range(1, 6)
-        if FIG1_PATH.is_above(i, j)
+        if j <= FIG1_PATH.mu.row(i)
     )
     assert above == 290
     assert 315 - above == 25
@@ -264,7 +265,7 @@ def test_largest_core_examples():
 
 def test_largest_core_of_3_4_is_unique_at_its_size():
     # brute force over partitions of 5: the only self-conjugate (3,4)-core
-    from corepaths import iter_partitions
+    from _reference import iter_partitions
 
     found = [
         Partition(rows)

@@ -406,17 +406,9 @@ def test_closed_stdout_pipe_exits_141_without_traceback(limit):
     assert err == b""
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["largest"],
-        ["map", "--path", "[]"],
-        ["unmap", "--partition", "[1]"],
-    ],
-)
-def test_array_commands_refuse_a_box_over_the_cell_cap(argv):
-    # a 1 x 10000001 box: refused before the array or the core is built,
-    # under an address-space limit that building them would break
+def _main_under_memory_limit(argv):
+    """Run ``main(argv)`` in a child python under a 1 GiB address-space
+    limit; its stdout is the seconds ``main`` took."""
     import resource
 
     def limit_memory():
@@ -430,19 +422,73 @@ def test_array_commands_refuse_a_box_over_the_cell_cap(argv):
         "print(time.perf_counter() - start)\n"
         "sys.exit(code)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", timed_main, *argv, "--s", "3", "--t", "20000003"],
+    return subprocess.run(
+        [sys.executable, "-c", timed_main, *argv],
         capture_output=True,
         text=True,
         env=_child_env(),
         preexec_fn=limit_memory,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["largest"],
+        ["map", "--path", "[]"],
+        ["unmap", "--partition", "[1]"],
+    ],
+)
+def test_array_commands_refuse_a_box_over_the_cell_cap(argv):
+    # a 1 x 10000001 box: refused before the array or the core is built,
+    # under an address-space limit that building them would break
+    proc = _main_under_memory_limit([*argv, "--s", "3", "--t", "20000003"])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == (
         "error: m*n = 10000001 array cells is over the supported maximum of 10**6\n"
     )
     assert float(proc.stdout) < 1.0
+
+
+# 10,002 self-conjugate (3, 20002)-cores, each of at most (3-1)(20002-1)/2
+# = 20,001 rows; C(200001, 2)/200001 = 100,000 (2, 199999)-cores, within
+# the default budget, of at most 99,999 rows
+_SC_LISTING = "10002 cores of up to 20001 rows each bound the listing at 200050002 rows"
+_ALL_LISTING = "100000 cores of up to 99999 rows each bound the listing at 9999900000 rows"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ("bruteforce --s 3 --t 20002", f"{_SC_LISTING}, over the supported maximum of 10**7"),
+        ("enumerate --s 3 --t 20002 --format csv",
+         f"{_SC_LISTING}, over the supported maximum of 10**7"),
+        ("bruteforce --all --s 2 --t 199999",
+         f"{_ALL_LISTING}, over the supported maximum of 10**7"),
+        ("identities --m 2000 --n 2000",
+         "m*n = 4000000 table cells is over the supported maximum of 10**6"),
+    ],
+    ids=["bruteforce", "enumerate", "bruteforce-all", "identities"],
+)
+def test_jobs_over_a_size_bound_are_refused_at_once(argv, err):
+    # refused before any core is listed or any table allocated, under an
+    # address-space limit that doing so would break
+    proc = _main_under_memory_limit(argv.split())
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: {err}\n"
+    assert float(proc.stdout) < 1.0
+
+
+def test_identities_refuses_one_cell_over_before_any_table(capsys, monkeypatch):
+    import corepaths.identities as identities
+
+    def allocated(*args):
+        raise AssertionError("built a table over the cell cap")
+
+    monkeypatch.setattr(identities, "path_prefix_table", allocated)
+    err = "error: m*n = 1001000 table cells is over the supported maximum of 10**6\n"
+    assert run(capsys, "identities", "--m", "1001", "--n", "1000") == (2, "", err)
 
 
 def test_remaining_format_branches(capsys):

@@ -8,17 +8,19 @@ from corepaths import (
     BudgetError,
     CoreParams,
     Partition,
-    average_size_formula,
-    coprime_pairs,
     core_from_path,
     enumerated_stats,
-    fold_path_sizes,
-    iter_box_partitions,
     iter_paths,
     largest_core,
+    verify_pair,
+)
+from corepaths.enumeration import (
+    average_size_formula,
+    coprime_pairs,
+    fold_path_sizes,
+    iter_box_partitions,
     report_all_pass,
     total_size_from_path_counts,
-    verify_pair,
 )
 
 
@@ -261,8 +263,13 @@ def test_statistics_symmetric_in_s_and_t():
 def test_above_total_decomposes_into_weighted_table_sums():
     # entry (i, j) is s*t + s + t - 2sj - 2ti, so the path-summed above-total
     # splits into the plain and the row-/column-weighted below-count sums
-    from corepaths import build_array, sum_below, sum_below_times_col, sum_below_times_row
-    from corepaths.identities import below_count_table
+    from corepaths import build_array
+    from corepaths.identities import (
+        below_count_table,
+        sum_below,
+        sum_below_times_col,
+        sum_below_times_row,
+    )
 
     for s, t in coprime_pairs(13):
         m, n = s // 2, t // 2
@@ -351,18 +358,6 @@ def test_verify_pair_smallest_case():
 def test_verify_pair_rejects_non_coprime():
     with pytest.raises(ValueError, match="not coprime"):
         verify_pair(4, 6)
-
-
-def test_verify_pair_with_oracle():
-    report = verify_pair(5, 6, oracle_budget=10**4)
-    assert report_all_pass(report)
-    assert report["checks"][-1]["name"] == "oracle_set_equality"
-
-
-def test_verify_pair_with_oracle_over_its_budget_raises():
-    # (8, 11) has C(9, 4) = 126 self-conjugate cores
-    with pytest.raises(BudgetError, match="lists 126 cores, over the budget of 10;"):
-        verify_pair(8, 11, oracle_budget=10)
 
 
 def test_verify_pair_skips_containment_beyond_limit(monkeypatch):

@@ -2,9 +2,10 @@ from math import comb
 
 import pytest
 
-from corepaths import (
+from corepaths.identities import (
     below_count_table,
     identity_report,
+    path_prefix_table,
     row_weighted_recurrence_holds,
     sum_below,
     sum_below_closed,
@@ -14,16 +15,30 @@ from corepaths import (
     sum_below_times_row_closed,
     symmetry_holds,
 )
-from corepaths.identities import (
-    below_count_table_by_enumeration,
-    column_pair_total,
-    path_prefix_table,
-)
+
+from _reference import below_count_table_by_enumeration, column_pair_total
 
 
 def test_table_tiny_boxes():
     assert below_count_table(1, 1) == ((1,),)
     assert below_count_table(2, 2) == ((5, 3), (3, 1))
+
+
+def test_table_refuses_over_a_million_cells_before_allocating(monkeypatch):
+    import corepaths.identities as identities
+
+    def allocated(*args):
+        raise AssertionError("allocated a table")
+
+    monkeypatch.setattr(identities, "path_prefix_table", allocated)
+    with pytest.raises(ValueError) as err:
+        below_count_table(1001, 1000)
+    assert str(err.value) == (
+        "m*n = 1001000 table cells is over the supported maximum of 10**6"
+    )
+    # exactly 10**6 cells passes the check and reaches the allocation
+    with pytest.raises(AssertionError):
+        below_count_table(1000, 1000)
 
 
 def test_table_validation():

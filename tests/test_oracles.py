@@ -9,21 +9,17 @@ from corepaths import (
     CoreParams,
     Partition,
     all_cores_size_stats,
-    brute_force_all_cores_count,
     brute_force_sc_cores,
     core_from_path,
-    coprime_pairs,
     cores_within,
-    is_t_core,
-    iter_partitions,
-    iter_partitions_up_to,
     iter_paths,
     largest_core,
-    partition_from_diagonal_hooks,
     survey_partitions,
 )
-from corepaths.oracles import iter_subpartitions
-from corepaths.partitions import is_t_core_scan
+from corepaths.enumeration import coprime_pairs
+from corepaths.partitions import is_t_core, partition_from_diagonal_hooks
+
+from _reference import is_t_core_scan, iter_partitions, iter_partitions_up_to, iter_subpartitions
 
 
 def _reference_partitions(n, cap=None):
@@ -179,27 +175,62 @@ def test_callers_filter_what_the_search_yields(monkeypatch):
 
 def test_anderson_counts():
     for s, t in coprime_pairs(8):
-        count = brute_force_all_cores_count(s, t)
+        count = all_cores_size_stats(s, t)[0]
         assert count * (s + t) == comb(s + t, s), (s, t)
 
 
 def test_anderson_count_examples():
-    assert brute_force_all_cores_count(2, 3) == 2
-    assert brute_force_all_cores_count(3, 4) == 5
-    assert brute_force_all_cores_count(4, 5) == 14
+    assert all_cores_size_stats(2, 3)[0] == 2
+    assert all_cores_size_stats(3, 4)[0] == 5
+    assert all_cores_size_stats(4, 5)[0] == 14
 
 
 def test_oracle_budget_guard():
     # the budget counts the cores each search lists: C(15, 7)/15 = 429 for
     # all (7, 8)-cores, C(12, 6) = 924 self-conjugate (12, 13)-cores
     with pytest.raises(BudgetError) as err:
-        brute_force_all_cores_count(7, 8, budget=428)
+        all_cores_size_stats(7, 8, budget=428)[0]
     assert err.value.required == 429
-    assert brute_force_all_cores_count(7, 8, budget=429) == 429
+    assert all_cores_size_stats(7, 8, budget=429)[0] == 429
     with pytest.raises(BudgetError) as err:
         brute_force_sc_cores(12, 13, budget=923)
     assert err.value.required == 924
     assert len(brute_force_sc_cores(12, 13, budget=924)) == 924
+
+
+def test_listing_bound_at_its_edge(monkeypatch):
+    # every core lies in the largest, of (s-1)(t-1)/2 rows.  (3, 4471) lists
+    # 2236 self-conjugate cores of up to 4470 rows, 9,994,920 in all, and
+    # (3, 4472) 2237 of up to 4471, 10,001,627; (2, 6323) lists 3162 cores
+    # of up to 3161 rows, 9,995,082, and (2, 6325) 3163 of up to 3162
+    import corepaths.oracles as oracles
+    from corepaths.bijection import check_listing
+
+    check_listing(CoreParams(2, 5), 5 * 10**6)  # 2 rows each: exactly 10**7
+    with pytest.raises(ValueError, match="at 10000002 rows, over the supported maximum"):
+        check_listing(CoreParams(2, 5), 5 * 10**6 + 1)
+
+    searched = []
+
+    def search(s, t):
+        searched.append((s, t))
+        return iter(())
+
+    monkeypatch.setattr(oracles, "_sc_hook_sets", search)
+    monkeypatch.setattr(oracles, "_core_hook_sets", search)
+    assert brute_force_sc_cores(3, 4471) == []
+    assert all_cores_size_stats(2, 6323) == (0, 0)
+    for call, err in (
+        (lambda: brute_force_sc_cores(3, 4472), "2237 cores of up to 4471 rows each "
+         "bound the listing at 10001627 rows, over the supported maximum of 10**7"),
+        (lambda: all_cores_size_stats(2, 6325), "3163 cores of up to 3162 rows each "
+         "bound the listing at 10001406 rows, over the supported maximum of 10**7"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert not isinstance(exc.value, BudgetError)
+        assert str(exc.value) == err
+    assert searched == [(3, 4471), (2, 6323)]
 
 
 def test_sc_cores_examples():

@@ -3,17 +3,15 @@ from itertools import combinations
 
 import pytest
 
-from corepaths import (
+from corepaths.partitions import (
     Partition,
     diagonal_hooks_within,
-    hook_set_is_t_core,
     is_t_core,
-    iter_partitions,
-    iter_partitions_up_to,
     partition_from_diagonal_hooks,
     validate_hook_set,
 )
-from corepaths.partitions import is_t_core_scan
+
+from _reference import hook_set_is_t_core, is_t_core_scan, iter_partitions, iter_partitions_up_to
 
 FIG1 = Partition((7, 5, 5, 3, 3, 1, 1))
 

@@ -27,7 +27,7 @@ def path_prefix_table(a: int, b: int) -> list[list[int]]:
     return table
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=128)
 def below_count_table(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Table (1-based cells stored 0-based) counting, for each cell (i, j),
     the paths in the m x n box that pass below it.
@@ -37,8 +37,11 @@ def below_count_table(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     (j-1, h) and a suffix from (j, h).  Cell (i, j) therefore counts the
     crossings of cell (i+1, j) plus those at height h = m - i alone, so the
     rows are built bottom up in O(mn) products.
-    Cached: the identity sweeps revisit each box several times.  Refused
-    before anything is allocated when the box has over ``_MAX_CELLS`` cells.
+    Cached: each identity report reads its box and the boxes one row and
+    one column smaller, and a sweep over m, n <= MAX has read those among
+    its last MAX + 1 tables, so 128 tables miss once per box up to
+    ``identities --max 127``.  Refused before anything is allocated when
+    the box has over ``_MAX_CELLS`` cells.
     """
     if m < 1 or n < 1:
         raise ValueError(f"box dimensions must be positive, got {m}x{n}")

@@ -1,8 +1,9 @@
 """Reference implementations the tests compare the package against, and
 that the package itself never calls: enumerations of every partition of a
 size, inside a shape or inside a box (exponential, small inputs only), the
-all-cells t-core scan, and two independent characterisations (t-core-ness
-from diagonal hooks, core size from the array entries above a path).
+all-cells t-core scan, two independent characterisations (t-core-ness
+from diagonal hooks, core size from the array entries above a path), and
+the containment sweep over every path's hook set.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Iterable, Iterator
 
 from corepaths.bijection import CoreParams, LatticePath, build_array
 from corepaths.enumeration import iter_box_partitions
-from corepaths.partitions import Partition, validate_hook_set
+from corepaths.partitions import Partition, diagonal_hooks_within, validate_hook_set
 
 
 def iter_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -135,3 +136,15 @@ def core_size_from_path(path: LatticePath, params: CoreParams) -> int:
         )
     above = sum(sum(row[:k]) for row, k in zip(arr.entries, path.mu.rows))
     return params.max_core_size - above
+
+
+def count_paths_not_within(params: CoreParams, outer: tuple[int, ...]) -> int:
+    """How many path images of the box do not fit in the self-conjugate
+    partition with diagonal hooks ``outer``: one hook set per path, read
+    through ``CoreArray.hook_set`` in the order of ``iter_box_partitions``
+    and compared by ``diagonal_hooks_within``.  C(m+n, m) sorts."""
+    hook_set = build_array(params.s, params.t).hook_set
+    return sum(
+        not diagonal_hooks_within(hook_set(mu), outer)
+        for mu in iter_box_partitions(params.m, params.n)
+    )

@@ -6,8 +6,10 @@ import pytest
 from corepaths import enumeration
 from corepaths import (
     BudgetError,
+    CoreArray,
     CoreParams,
     Partition,
+    build_array,
     core_from_path,
     enumerated_stats,
     iter_paths,
@@ -15,6 +17,7 @@ from corepaths import (
     verify_pair,
 )
 from corepaths.enumeration import (
+    _largest_excess,
     average_size_formula,
     coprime_pairs,
     fold_path_sizes,
@@ -22,6 +25,8 @@ from corepaths.enumeration import (
     report_all_pass,
     total_size_from_path_counts,
 )
+
+from _reference import count_paths_not_within
 
 
 def test_iter_box_partitions_2x2_order():
@@ -360,19 +365,35 @@ def test_verify_pair_rejects_non_coprime():
         verify_pair(4, 6)
 
 
-def test_verify_pair_skips_containment_beyond_limit(monkeypatch):
-    # (8, 11) has 126 paths
-    for limit, swept in ((126, True), (125, False)):
-        monkeypatch.setattr(enumeration, "_CONTAINMENT_LIMIT", limit)
-        report = verify_pair(8, 11)
-        names = [c["name"] for c in report["checks"]]
-        assert ("largest_core_contains_all" in names) is swept
-        assert report_all_pass(report)
+def test_verify_pair_checks_containment_past_the_old_sweep_limit():
+    # (19, 23) has C(20, 9) = 167,960 paths, over the 10**5 the per-path
+    # sweep stopped at
+    report = verify_pair(19, 23)
+    assert report["count"] == comb(20, 9) == 167960
+    (check,) = [c for c in report["checks"] if c["name"] == "largest_core_contains_all"]
+    assert check == {"name": "largest_core_contains_all", "pass": True, "lhs": 0, "rhs": 0}
+    assert report_all_pass(report)
+
+
+def test_containment_reads_only_the_corner_paths(monkeypatch):
+    # the containment check reads min(m, n) + 1 hook sets, and largest_core
+    # one more: no path of the box is enumerated for it
+    calls = []
+    hook_set = CoreArray.hook_set
+    monkeypatch.setattr(
+        CoreArray, "hook_set", lambda arr, cuts: calls.append(cuts) or hook_set(arr, cuts)
+    )
+    for s, t in ((16, 17), (17, 16), (3, 2003), (2003, 3)):
+        calls.clear()
+        params = CoreParams(s, t)
+        assert report_all_pass(verify_pair(s, t))
+        assert len(calls) == min(params.m, params.n) + 2
 
 
 def test_containment_check_counts_what_contains_counts(monkeypatch):
     # stand every path image of (8, 11) in for the largest core: the
-    # hook-set check must fail exactly as often as the literal containment
+    # containment check must fail exactly when the literal containment of
+    # some path image does
     params = CoreParams(8, 11)
     images = [core_from_path(path, params) for path in iter_paths(params.m, params.n)]
     for small in images:
@@ -383,9 +404,48 @@ def test_containment_check_counts_what_contains_counts(monkeypatch):
             if c["name"] == "largest_core_contains_all"
         ]
         literal = sum(1 for core in images if not small.contains(core))
-        assert check["lhs"] == literal
+        assert (check["lhs"] > 0) == (literal > 0)
         assert check["pass"] == (literal == 0)
         assert check["pass"] == (small == largest_core(params))
+
+
+def _literal_largest_excess(params, outer):
+    # the largest #{h >= x} - #{outer >= x} over every path's hook set h
+    # and every hook x of h, by the definition
+    hook_set = build_array(params.s, params.t).hook_set
+    best = 0
+    for mu in iter_box_partitions(params.m, params.n):
+        hooks = hook_set(mu)
+        for x in hooks:
+            best = max(best, sum(h >= x for h in hooks) - sum(o >= x for o in outer))
+    return best
+
+
+def test_largest_excess_agrees_with_the_sweep_on_every_pair_to_17():
+    for s, t in coprime_pairs(17):
+        for params in (CoreParams(s, t), CoreParams(t, s)):
+            outer = largest_core(params).diagonal_hooks()
+            excess = _largest_excess(params, outer)
+            assert excess == count_paths_not_within(params, outer) == 0
+
+
+def test_largest_excess_agrees_with_the_sweep_on_path_images():
+    # every path image of five pairs stands in for the largest core, read
+    # in both orientations of the box (row corners, then column corners)
+    cases = failing = 0
+    for s, t in ((8, 11), (7, 9), (9, 10), (5, 12), (6, 13)):
+        params = CoreParams(s, t)
+        for path in iter_paths(params.m, params.n):
+            outer = core_from_path(path, params).diagonal_hooks()
+            for box in (params, CoreParams(t, s)):
+                excess = _largest_excess(box, outer)
+                swept = count_paths_not_within(box, outer)
+                assert (excess > 0) == (swept > 0)
+                assert excess == _literal_largest_excess(box, outer)
+            cases += 1
+            failing += swept > 0
+    assert cases == 399
+    assert 0 < failing < cases
 
 
 def test_coprime_pairs():

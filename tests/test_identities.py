@@ -41,6 +41,19 @@ def test_table_refuses_over_a_million_cells_before_allocating(monkeypatch):
         below_count_table(1000, 1000)
 
 
+def test_identity_sweep_cache_stays_small(capsys):
+    # a sweep over m, n <= 30 rereads each table within its last 31, so
+    # 128 cached tables miss once per box
+    from corepaths.cli import main
+
+    below_count_table.cache_clear()
+    assert main(["identities", "--max", "30"]) == 0
+    capsys.readouterr()
+    info = below_count_table.cache_info()
+    assert info.currsize <= 128
+    assert info.misses == 900
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         below_count_table(0, 3)

@@ -15,10 +15,9 @@ the work each budgeted job does, for the one ``check_budget``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .partitions import Partition, partition_from_diagonal_hooks, validate_hook_set
+from .partitions import Partition, Value, _set, partition_from_diagonal_hooks, validate_hook_set
 
 # Input cap on s*t.  All arithmetic is exact Python ints, so the cap is not
 # about overflow: it bounds array size and work, since the array has about
@@ -34,6 +33,11 @@ _MAX_LISTED_ROWS = 10**7
 # count: printing them would flood a message (and past 4300 digits Python
 # refuses to convert them at all).
 _MAX_PRINTED_DIGITS = 100
+# Default budgets: the paths the walk of ``enumerate`` and ``verify`` may
+# visit (and the cells of the ``stats`` DP), and the cores a brute-force
+# search may list.
+DEFAULT_PATH_BUDGET = 10**7
+DEFAULT_ORACLE_BUDGET = 10**5
 # How the refusal of each unit of budgeted work states the count.
 _NEEDS = {"path": "enumeration needs {} paths", "cell": "staircase DP needs {} cells",
           "core": "brute-force search lists {} cores"}
@@ -89,15 +93,12 @@ def check_listing(params: CoreParams, cores: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CoreParams:
+class CoreParams(Value):
     """A coprime pair (s, t) with the derived box dimensions m, n."""
 
-    s: int
-    t: int
+    __slots__ = ("s", "t")
 
-    def __post_init__(self):
-        s, t = self.s, self.t
+    def __init__(self, s: int, t: int):
         if s < 2 or t < 2:
             raise ValueError(f"both parameters must be at least 2, got ({s}, {t})")
         if math.gcd(s, t) != 1:
@@ -105,6 +106,8 @@ class CoreParams:
         if s * t > _MAX_ST:
             raise ValueError(f"s*t = {s * t} is over the supported maximum of 2**31")
         assert s % 2 == 1 or t % 2 == 1
+        _set(self, "s", s)
+        _set(self, "t", t)
 
     @property
     def m(self) -> int:
@@ -139,23 +142,30 @@ class CoreParams:
         return prod // 24
 
 
-@dataclass(frozen=True, eq=False)
-class CoreArray:
+class CoreArray(Value):
     """The m x n array with entry s*t - (2j-1)s - (2i-1)t at cell (i, j).
 
     Entries decrease by 2s along rows and 2t down columns, are odd, nonzero,
     pairwise distinct in absolute value, and the top-left entry dominates
-    them all in absolute value.
+    them all in absolute value.  Arrays compare by identity, and their
+    repr leaves the entries out.
     """
 
-    params: CoreParams
-    entries: tuple[tuple[int, ...], ...] = field(repr=False)
+    __slots__ = ("params", "entries", "_cuts")
 
-    def __post_init__(self):
-        a11 = self.entries[0][0]
-        amn = self.entries[-1][-1]
-        assert a11 == self.params.s * self.params.t - self.params.s - self.params.t
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, params: CoreParams, entries: tuple[tuple[int, ...], ...]):
+        a11 = entries[0][0]
+        amn = entries[-1][-1]
+        assert a11 == params.s * params.t - params.s - params.t
         assert a11 + amn > 0
+        _set(self, "params", params)
+        _set(self, "entries", entries)
+
+    def __repr__(self):
+        return f"CoreArray(params={self.params!r})"
 
     @property
     def m(self) -> int:
@@ -175,20 +185,26 @@ class CoreArray:
         """Sum of the positive entries; equals the largest core size."""
         return sum(v for row in self.entries for v in row if v > 0)
 
-    @cached_property
+    @property
     def _row_cuts(self) -> tuple[tuple[tuple[int, ...], tuple[slice, ...]], ...]:
-        # Entries fall from positive to negative along a row, so with p
-        # positives the hooks of a row cut at k (the |negative| entries left
-        # of k and the positive entries from k on) are one slice of the
-        # row's positives followed by its |negatives|, [k:p] or [p:k].  Each
-        # row keeps that line and the slice for every k, linear in its length.
+        try:
+            return self._cuts
+        except AttributeError:
+            pass
+        # Made on first use and kept.  Entries fall from positive to
+        # negative along a row, so with p positives the hooks of a row cut
+        # at k (the |negative| entries left of k and the positive entries
+        # from k on) are one slice of the row's positives followed by its
+        # |negatives|, [k:p] or [p:k].  Each row keeps that line and the
+        # slice for every k, linear in its length.
         cuts = []
         for row in self.entries:
             p = sum(1 for v in row if v > 0)
             line = row[:p] + tuple(-v for v in row[p:])
             slices = tuple(slice(min(k, p), max(k, p)) for k in range(self.n + 1))
             cuts.append((line, slices))
-        return tuple(cuts)
+        _set(self, "_cuts", tuple(cuts))
+        return self._cuts
 
     def hook_set(self, cuts: tuple[int, ...]) -> tuple[int, ...]:
         """Diagonal hook set of the path with cuts[i] cells above it in row
@@ -220,20 +236,20 @@ def build_array(s: int, t: int) -> CoreArray:
     return CoreArray(params, entries)
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(Value):
     """A monotone lower-left to upper-right path in an m x n box, stored as
     the partition mu of cells above it."""
 
-    m: int
-    n: int
-    mu: Partition = Partition()
+    __slots__ = ("m", "n", "mu")
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"box dimensions must be positive, got {self.m}x{self.n}")
-        if len(self.mu) > self.m or (self.mu.rows and self.mu.rows[0] > self.n):
-            raise ValueError(f"mu = {self.mu} does not fit in a {self.m}x{self.n} box")
+    def __init__(self, m: int, n: int, mu: Partition = Partition()):
+        if m < 1 or n < 1:
+            raise ValueError(f"box dimensions must be positive, got {m}x{n}")
+        if len(mu) > m or (mu.rows and mu.rows[0] > n):
+            raise ValueError(f"mu = {mu} does not fit in a {m}x{n} box")
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "mu", mu)
 
     def steps(self) -> str:
         """The path as a word over U/R read from the lower-left corner.

@@ -10,6 +10,10 @@ All numeric output is exact (averages appear as num/den pairs).  Exit
 status: 0 on success and on verify/sweep with every check passing, 1 when
 any check fails, 2 on usage errors, 141 (128 + SIGPIPE) when the reader of
 stdout goes away before the output is written.
+
+A process imports only what its command runs: ``enumeration``,
+``identities`` and ``oracles`` are imported inside the run functions and
+views that call them.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import shutil
 import sys
 
 from .bijection import (
+    DEFAULT_ORACLE_BUDGET,
+    DEFAULT_PATH_BUDGET,
     CoreParams,
     LatticePath,
     build_array,
@@ -32,16 +38,6 @@ from .bijection import (
     path_from_core,
     path_hook_set,
 )
-from .enumeration import (
-    DEFAULT_PATH_BUDGET,
-    coprime_pairs,
-    enumerated_stats,
-    iter_paths,
-    report_all_pass,
-    verify_pair,
-)
-from .identities import identity_report
-from .oracles import DEFAULT_ORACLE_BUDGET, all_cores_size_stats, brute_force_sc_cores
 from .partitions import Partition
 
 
@@ -134,6 +130,8 @@ def _stats_summary(p) -> str:
 
 
 def _run_stats(args):
+    from .enumeration import enumerated_stats
+
     params = CoreParams(args.s, args.t)
     stats = enumerated_stats(args.s, args.t, budget=_budget(args, "cell", params.cell_count))
     avg = stats.average_size
@@ -145,6 +143,8 @@ def _run_stats(args):
 
 
 def _run_enumerate(args):
+    from .enumeration import iter_paths
+
     params = CoreParams(args.s, args.t)
     check_budget("path", params.path_count, _budget(args, "path", params.path_count))
     check_listing(params, params.path_count)
@@ -210,6 +210,8 @@ def _run_largest(args):
 
 
 def _run_verify(args):
+    from .enumeration import report_all_pass, verify_pair
+
     params = CoreParams(args.s, args.t)
     report = verify_pair(args.s, args.t, budget=_budget(args, "path", params.path_count))
     return (0 if report_all_pass(report) else 1), report
@@ -217,6 +219,8 @@ def _run_verify(args):
 
 def _report_row(report) -> str:
     """One verify/sweep CSV row: s,t,count,total,avg_num,avg_den,max,all_pass."""
+    from .enumeration import report_all_pass
+
     return _csv(*_stats_fields(report), report_all_pass(report))
 
 
@@ -229,6 +233,8 @@ def _verify_text(report) -> str:
 
 
 def _run_sweep(args):
+    from .enumeration import coprime_pairs, report_all_pass, verify_pair
+
     if args.max < 3:
         raise ValueError(f"--max must be at least 3, as the least pair is (2, 3); got {args.max}")
     budget = _budget(args)
@@ -244,6 +250,8 @@ _IDENTITY_CHECKS = ("sum_f_ok", "sum_if_ok", "sum_jf_ok", "symmetry_ok", "recurr
 
 
 def _run_identities(args):
+    from .identities import identity_report
+
     if args.max is None:
         if args.m is None or args.n is None:
             raise ValueError("identities needs either --m and --n, or --max")
@@ -265,6 +273,8 @@ def _identities_csv(reports) -> str:
 
 
 def _run_bruteforce(args):
+    from .oracles import all_cores_size_stats, brute_force_sc_cores
+
     budget = _budget(args)
     if args.all:
         count = all_cores_size_stats(args.s, args.t, budget=budget)[0]

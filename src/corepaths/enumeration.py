@@ -14,30 +14,34 @@ successor moves a few rows, and checks its path count against the binomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator
 
-from .bijection import CoreParams, LatticePath, build_array, check_budget, largest_core
-from .partitions import Partition
+from .bijection import (
+    DEFAULT_PATH_BUDGET,
+    CoreParams,
+    LatticePath,
+    build_array,
+    check_budget,
+    largest_core,
+)
+from .partitions import Partition, Value, _set
 
-DEFAULT_PATH_BUDGET = 10**7
 
-
-@dataclass(frozen=True)
-class CoreStats:
+class CoreStats(Value):
     """Exact statistics of the set of self-conjugate (s, t)-cores, and how
     many cores attain the largest size."""
 
-    count: int
-    total_size: int
-    max_size: int
-    max_multiplicity: int
+    __slots__ = ("count", "total_size", "max_size", "max_multiplicity")
 
-    def __post_init__(self):
-        if self.count:
-            assert 0 <= self.max_size <= self.total_size
+    def __init__(self, count: int, total_size: int, max_size: int, max_multiplicity: int):
+        if count:
+            assert 0 <= max_size <= total_size
+        _set(self, "count", count)
+        _set(self, "total_size", total_size)
+        _set(self, "max_size", max_size)
+        _set(self, "max_multiplicity", max_multiplicity)
 
     @property
     def average_size(self) -> Fraction:
@@ -120,8 +124,16 @@ def _iter_above_sums(prefix, n: int) -> Iterator[int]:
 
 def fold_path_sizes(s: int, t: int) -> CoreStats:
     """Fold exact size statistics over every path of the (s, t) box, one
-    path at a time: the walk ``verify_pair`` checks the staircase fold by."""
+    path at a time: the walk ``verify_pair`` checks the staircase fold by.
+
+    Each colexicographic step resets up to m rows, so on a box taller than
+    wide the walk runs on the transposed table instead: the (t, s) array is
+    the transpose of the (s, t) array, and transposing a path's
+    above-partition keeps its above-sum, so the statistics are the same.
+    """
     params = CoreParams(s, t)
+    if params.m > params.n:
+        params = CoreParams(t, s)
     top = params.max_core_size
     sums = _iter_above_sums(tuple(_prefix_rows(params))[::-1], params.n)
     count = above_total = k = 0

@@ -21,14 +21,26 @@ against the literal sweeps guard the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from math import inf
-from typing import Iterator
 
-from .bijection import CoreParams, check_budget, check_listing, largest_core
-from .partitions import Partition, is_t_core, partition_from_diagonal_hooks
+from .bijection import (
+    DEFAULT_ORACLE_BUDGET,
+    CoreParams,
+    check_budget,
+    check_listing,
+    largest_core,
+)
+from .partitions import Partition, Value, _set, partition_from_diagonal_hooks
 
-DEFAULT_ORACLE_BUDGET = 10**5
+
+def _is_core(p: Partition, s: int, t: int) -> bool:
+    """True when no cell of ``p`` has hook length s or t: the honest test of
+    ``is_t_core`` for both hooks, on one first-column hook set."""
+    hooks = set(p.first_column_hooks())
+    below_s = [b - s for b in hooks if b >= s]
+    below_t = [b - t for b in hooks if b >= t]
+    return hooks.issuperset(below_s) and hooks.issuperset(below_t)
 
 
 def _core_hook_sets(
@@ -99,7 +111,7 @@ def cores_within(shape: tuple[int, ...], s: int, t: int) -> list[tuple[int, ...]
     return [
         p.rows
         for p in map(_partition_of, _core_hook_sets(s, t, outer.size))
-        if is_t_core(p, s) and is_t_core(p, t) and outer.contains(p)
+        if _is_core(p, s, t) and outer.contains(p)
     ]
 
 
@@ -115,7 +127,7 @@ def all_cores_size_stats(
     sizes = [
         p.size
         for p in map(_partition_of, _core_hook_sets(s, t))
-        if is_t_core(p, s) and is_t_core(p, t)
+        if _is_core(p, s, t)
     ]
     return len(sizes), sum(sizes)
 
@@ -180,7 +192,7 @@ def brute_force_sc_cores(
     found = []
     for hooks in _sc_hook_sets(s, t):
         p = partition_from_diagonal_hooks(hooks)
-        if is_t_core(p, s) and is_t_core(p, t):
+        if _is_core(p, s, t):
             found.append(p)
     found.sort(key=lambda p: (p.size, p.rows))
     return found
@@ -195,8 +207,7 @@ def _partitions_up_to(limit: int) -> int:
     return sum(counts)
 
 
-@dataclass(frozen=True)
-class PartitionSurvey:
+class PartitionSurvey(Value):
     """Outcome of a survey of all partitions up to a size bound.
 
     ``scanned`` counts the partitions the survey accounts for, every one of
@@ -205,11 +216,16 @@ class PartitionSurvey:
     the nonempty hook sets the search did visit.
     """
 
-    scanned: int
-    cores: int
-    core_size_total: int
-    outside_largest: int
-    visited: int
+    __slots__ = ("scanned", "cores", "core_size_total", "outside_largest", "visited")
+
+    def __init__(
+        self, scanned: int, cores: int, core_size_total: int, outside_largest: int, visited: int
+    ):
+        _set(self, "scanned", scanned)
+        _set(self, "cores", cores)
+        _set(self, "core_size_total", core_size_total)
+        _set(self, "outside_largest", outside_largest)
+        _set(self, "visited", visited)
 
 
 def survey_partitions(s: int, t: int, limit: int) -> PartitionSurvey:
@@ -229,7 +245,7 @@ def survey_partitions(s: int, t: int, limit: int) -> PartitionSurvey:
     cores = core_size_total = outside = 0
     # the empty set comes first, so the last index counts the nonempty ones
     for visited, p in enumerate(map(_partition_of, _core_hook_sets(s, t, limit))):
-        if is_t_core(p, s) and is_t_core(p, t):
+        if _is_core(p, s, t):
             cores += 1
             core_size_total += p.size
             if not lam.contains(p):

@@ -231,3 +231,12 @@ def test_criterion_11_consecutive_pair_average():
         if sv.cores * (s + t) != comb(s + t, s):
             ok = False
     _report("11 consecutive-pair average", ok, time.perf_counter() - start)
+
+
+def test_criterion_12_tall_box_walk():
+    # 8,001 paths in an 8000 x 1 box: the walk runs on the transposed table,
+    # so it costs what the 1 x 8000 box does instead of a reset of up to
+    # 8,000 rows per step
+    start = time.perf_counter()
+    ok = fold_path_sizes(16001, 3) == fold_path_sizes(3, 16001)
+    _report("12 tall-box walk", ok, time.perf_counter() - start, 1.0)

@@ -377,15 +377,29 @@ def _child_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [PACKAGE_PARENT, path]))}
 
 
+# Run under python -S, so no site .pth file preloads modules: a process
+# loads what its command runs, and nothing more.
+_IMPORT_CONTRACT = """
+import contextlib, io, sys
+import corepaths
+loaded = sorted(m for m in sys.modules if m.startswith("corepaths."))
+assert not loaded, loaded
+import corepaths.cli
+heavy = {"numpy", "dataclasses", "inspect", "fractions", "corepaths.enumeration",
+         "corepaths.identities", "corepaths.oracles"}
+assert not heavy & set(sys.modules), heavy & set(sys.modules)
+for argv, absent in [(["largest", "--s", "8", "--t", "11"], heavy),
+                     (["stats", "--s", "8", "--t", "11"],
+                      {"corepaths.identities", "corepaths.oracles"})]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert corepaths.cli.main(argv) == 0
+    assert not absent & set(sys.modules), (argv, absent & set(sys.modules))
+"""
+
+
 def test_import_loads_no_numpy():
     subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import corepaths, corepaths.cli, sys; assert 'numpy' not in sys.modules",
-        ],
-        check=True,
-        env=_child_env(),
+        [sys.executable, "-S", "-c", _IMPORT_CONTRACT], check=True, env=_child_env()
     )
 
 

@@ -265,6 +265,17 @@ def test_statistics_symmetric_in_s_and_t():
         assert image == other
 
 
+@pytest.mark.parametrize("s, t", [(13, 4), (21, 5), (101, 3), (41, 6), (3001, 3)])
+def test_tall_box_stats_equal_the_wide_box_stats(s, t):
+    # m > n: the walk runs on the transposed (t, s) table, and every route
+    # agrees with the swapped pair's
+    assert s // 2 > t // 2
+    walk = fold_path_sizes(s, t)
+    assert walk == fold_path_sizes(t, s) == enumeration._staircase_sizes(s, t)
+    assert walk == enumeration._staircase_sizes(t, s) == enumerated_stats(t, s)
+    assert report_all_pass(verify_pair(s, t))
+
+
 def test_above_total_decomposes_into_weighted_table_sums():
     # entry (i, j) is s*t + s + t - 2sj - 2ti, so the path-summed above-total
     # splits into the plain and the row-/column-weighted below-count sums

@@ -173,6 +173,15 @@ def test_callers_filter_what_the_search_yields(monkeypatch):
         ) == (sv.scanned, sv.cores, sv.core_size_total, sv.outside_largest)
 
 
+def test_two_hook_filter_is_the_literal_test_for_both_hooks():
+    from corepaths.oracles import _is_core
+
+    partitions = [Partition(rows) for rows in iter_partitions_up_to(14)]
+    for s, t in [(2, 3), (3, 4), (4, 7), (5, 6), (7, 5), (3, 11)]:
+        for p in partitions:
+            assert _is_core(p, s, t) == (is_t_core_scan(p, s) and is_t_core_scan(p, t)), (p, s, t)
+
+
 def test_anderson_counts():
     for s, t in coprime_pairs(8):
         count = all_cores_size_stats(s, t)[0]

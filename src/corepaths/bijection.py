@@ -23,11 +23,10 @@ from .partitions import Partition, Value, _set, partition_from_diagonal_hooks, v
 # about overflow: it bounds array size and work, since the array has about
 # s*t/4 entries and the largest core about (s*t)^2/24 cells.
 _MAX_ST = 2**31
-# Cap on the m*n cells of a built array.  The largest core, which map,
-# unmap and largest build from it, has about 2*m*n rows.
+# Cap on the m*n cells of a built array.
 _MAX_CELLS = 10**6
-# Cap on the rows a listing job may hold and test: its core count times the
-# (s-1)(t-1)/2 rows of the largest core, which contains every (s, t)-core.
+# Cap on the rows a job may hold: its core count times the (s-1)(t-1)/2
+# rows of the largest core, which contains every (s, t)-core.
 _MAX_LISTED_ROWS = 10**7
 # Counts with more decimal digits than this are described by their digit
 # count: printing them would flood a message (and past 4300 digits Python
@@ -81,16 +80,18 @@ def check_budget(unit: str, required: int, budget: int) -> int:
     return required
 
 
-def check_listing(params: CoreParams, cores: int) -> None:
-    """ValueError when listing ``cores`` (s, t)-cores may hold more than
+def check_listing(params: CoreParams, cores: int = 1) -> None:
+    """ValueError when holding ``cores`` (s, t)-cores may take more than
     ``_MAX_LISTED_ROWS`` rows: every core lies inside the largest one, so
     its (s-1)(t-1)/2 rows bound each core's."""
     rows = (params.s - 1) * (params.t - 1) // 2
     if cores * rows > _MAX_LISTED_ROWS:
-        raise ValueError(
+        what = (
+            f"a core of up to {rows} rows" if cores == 1 else
             f"{describe_count(cores)} cores of up to {rows} rows each bound the listing "
-            f"at {describe_count(cores * rows)} rows, over the supported maximum of 10**7"
+            f"at {describe_count(cores * rows)} rows"
         )
+        raise ValueError(f"{what}, over the supported maximum of 10**7")
 
 
 class CoreParams(Value):
@@ -151,7 +152,7 @@ class CoreArray(Value):
     repr leaves the entries out.
     """
 
-    __slots__ = ("params", "entries", "_cuts")
+    __slots__ = ("params", "entries")
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -180,40 +181,6 @@ class CoreArray(Value):
         if not (1 <= i <= self.m and 1 <= j <= self.n):
             raise ValueError(f"cell ({i}, {j}) outside the {self.m}x{self.n} array")
         return self.entries[i - 1][j - 1]
-
-    def positive_sum(self) -> int:
-        """Sum of the positive entries; equals the largest core size."""
-        return sum(v for row in self.entries for v in row if v > 0)
-
-    @property
-    def _row_cuts(self) -> tuple[tuple[tuple[int, ...], tuple[slice, ...]], ...]:
-        try:
-            return self._cuts
-        except AttributeError:
-            pass
-        # Made on first use and kept.  Entries fall from positive to
-        # negative along a row, so with p positives the hooks of a row cut
-        # at k (the |negative| entries left of k and the positive entries
-        # from k on) are one slice of the row's positives followed by its
-        # |negatives|, [k:p] or [p:k].  Each row keeps that line and the
-        # slice for every k, linear in its length.
-        cuts = []
-        for row in self.entries:
-            p = sum(1 for v in row if v > 0)
-            line = row[:p] + tuple(-v for v in row[p:])
-            slices = tuple(slice(min(k, p), max(k, p)) for k in range(self.n + 1))
-            cuts.append((line, slices))
-        _set(self, "_cuts", tuple(cuts))
-        return self._cuts
-
-    def hook_set(self, cuts: tuple[int, ...]) -> tuple[int, ...]:
-        """Diagonal hook set of the path with cuts[i] cells above it in row
-        i + 1 (one cut per row): positive entries below the path plus the
-        absolute values of negative entries above it, sorted decreasing."""
-        hooks = []
-        for (line, slices), k in zip(self._row_cuts, cuts):
-            hooks += line[slices[k]]
-        return validate_hook_set(hooks)
 
 
 @lru_cache(maxsize=128)
@@ -293,31 +260,63 @@ class LatticePath(Value):
         return cls(m, n, Partition(tuple(r for r in mu_rows if r > 0)))
 
 
+def _row_hooks(params: CoreParams, cuts) -> list[int]:
+    """Diagonal hooks of the path with cuts[i] cells above it in row i + 1,
+    unsorted, from the arithmetic of the array alone.
+
+    Row i runs e, e - 2s, ..., with e = st - s - (2i-1)t, falling from
+    positive to negative, so its first p = ceil(e/2s) entries are its
+    positives; t - s <= e <= st - s - t puts p in [0, n] unclamped.  Cut at
+    k, the row carries its positives from k on, or the |negatives| left of
+    k: one progression of step 2s either way.
+    """
+    s, t = params.s, params.t
+    s2, t2 = 2 * s, 2 * t
+    hooks = []
+    e = s * t - s - t
+    for k in cuts:
+        p = (e + s2 - 1) // s2
+        hooks += range(e - s2 * k, e - s2 * p, -s2) if k < p else range(s2 * p - e, s2 * k - e, s2)
+        e -= t2
+    return hooks
+
+
+def _path_cuts(path: LatticePath, params: CoreParams) -> tuple[int, ...]:
+    """The cells above ``path`` in each of the m rows of the (s, t) box."""
+    if (path.m, path.n) != (params.m, params.n):
+        raise ValueError(
+            f"path box {path.m}x{path.n} does not match array {params.m}x{params.n}"
+        )
+    return path.mu.rows + (0,) * (params.m - len(path.mu))
+
+
 def path_hook_set(path: LatticePath, arr: CoreArray) -> tuple[int, ...]:
     """Diagonal hook set carried by a path: positive entries below it plus
-    absolute values of negative entries above it, sorted decreasing."""
-    if (path.m, path.n) != (arr.m, arr.n):
-        raise ValueError(
-            f"path box {path.m}x{path.n} does not match array {arr.m}x{arr.n}"
-        )
-    return arr.hook_set(path.mu.rows + (0,) * (arr.m - len(path.mu)))
+    absolute values of negative entries above it, sorted decreasing.  Only
+    ``arr.params`` is read."""
+    return validate_hook_set(_row_hooks(arr.params, _path_cuts(path, arr.params)))
 
 
 def core_from_path(path: LatticePath, params: CoreParams) -> Partition:
-    """The self-conjugate (s, t)-core corresponding to a lattice path."""
-    arr = build_array(params.s, params.t)
-    return partition_from_diagonal_hooks(path_hook_set(path, arr))
+    """The self-conjugate (s, t)-core corresponding to a lattice path: the
+    partition with the path's diagonal hooks."""
+    return partition_from_diagonal_hooks(_row_hooks(params, _path_cuts(path, params)))
 
 
 def path_from_core(p: Partition, params: CoreParams) -> LatticePath:
     """The unique path mapping to ``p``; raises if ``p`` is not a
     self-conjugate (s, t)-core.
 
-    Solved cell by cell: a cell lies above the path exactly when it holds a
-    positive entry that is not a diagonal hook of ``p``, or a negative entry
-    whose absolute value is.  Each row's cut counts those cells.  The
+    Hook h is the entry at (i, j), x = 2i - 1 and y = 2j - 1, when
+    xt + ys = st - h, or its |entry| when xt + ys = st + h.  As x < s, x is
+    s - r or r for r = h * t^-1 mod s, and then y is q or t - q for
+    q = (rt - h)/s < t.  With q > 0 both lie in (0, t), and an odd x < s
+    and y < t are inside the box.
+    A row's cut starts at its positive count and moves past each hook: down
+    at a positive entry, up at a negative one, so it stays in [0, n].  The
     array's absolute values are pairwise distinct, so ``p`` is in the image
-    exactly when the cuts weakly decrease and carry ``p``'s hook set.
+    exactly when every hook is placed and the cuts weakly decrease and carry
+    ``p``'s hook set.
     """
     try:
         hooks = p.diagonal_hooks()
@@ -325,15 +324,24 @@ def path_from_core(p: Partition, params: CoreParams) -> LatticePath:
         raise ValueError(
             f"not in the bijection image: {p} is not self-conjugate"
         ) from None
-    members = set(hooks)
-    arr = build_array(params.s, params.t)
-    cuts = tuple(
-        sum((v not in members) if v > 0 else (-v in members) for v in row)
-        for row in arr.entries
-    )
-    if any(a < b for a, b in zip(cuts, cuts[1:])) or arr.hook_set(cuts) != hooks:
+    s, t, m, n = params.s, params.t, params.m, params.n
+    s2, a11 = 2 * s, s * t - s - t
+    # each row's positives, as in _row_hooks
+    cuts = [(e + s2 - 1) // s2 for e in range(a11, a11 - 2 * m * t, -2 * t)]
+    t_inv = pow(t, -1, s)
+    for h in hooks:
+        r = h * t_inv % s
+        q = (r * t - h) // s  # exact, as rt = h (mod s)
+        if q > 0 and (s - r) & q & 1:  # positive entry
+            cuts[(s - r) >> 1] -= 1
+        elif q > 0 and r & (t - q) & 1:  # negative entry
+            cuts[r >> 1] += 1
+        else:
+            raise ValueError(f"not in the bijection image: {p}")
+    placed = sorted(_row_hooks(params, cuts), reverse=True)
+    if cuts != sorted(cuts, reverse=True) or placed != list(hooks):
         raise ValueError(f"not in the bijection image: {p}")
-    return LatticePath(arr.m, arr.n, Partition(tuple(k for k in cuts if k)))
+    return LatticePath(m, n, Partition(tuple(k for k in cuts if k)))
 
 
 def largest_core(params: CoreParams) -> Partition:

@@ -29,14 +29,14 @@ from .bijection import (
     DEFAULT_PATH_BUDGET,
     CoreParams,
     LatticePath,
-    build_array,
+    _path_cuts,
+    _row_hooks,
     check_budget,
     check_listing,
     core_from_path,
     describe_count,
     largest_core,
     path_from_core,
-    path_hook_set,
 )
 from .partitions import Partition
 
@@ -161,10 +161,11 @@ def _path_payload(params: CoreParams, path: LatticePath, core: Partition) -> dic
 
 def _run_map(args):
     params = CoreParams(args.s, args.t)
+    check_listing(params)
     path = _parse_path(args.path, params.m, params.n)
-    hooks = path_hook_set(path, build_array(args.s, args.t))
+    hooks = sorted(_row_hooks(params, _path_cuts(path, params)), reverse=True)
     core = core_from_path(path, params)
-    return 0, {**_path_payload(params, path, core), "hooks": list(hooks), "size": core.size}
+    return 0, {**_path_payload(params, path, core), "hooks": hooks, "size": core.size}
 
 
 def _map_csv(p) -> str:
@@ -183,12 +184,15 @@ def _map_text(p) -> str:
     core = _partition(p["partition"])
     lines = [f"path mu={p['mu']} steps={p['steps']}", f"partition {core} size={p['size']}",
              f"diagonal hooks {p['hooks']}"]
-    entries = build_array(p["s"], p["t"]).entries
-    w = max(len(str(v)) for row in entries for v in row)
+    s, t, m, n = p["s"], p["t"], p["m"], p["n"]
+    # the widest entry is the top-left (largest) or bottom-right (least) one
+    a11 = s * t - s - t
+    w = max(len(str(a11)), len(str(a11 - 2 * s * (n - 1) - 2 * t * (m - 1))))
     # the array is shown only when it fits the terminal
-    if p["n"] * (w + 3) <= shutil.get_terminal_size().columns:
+    if n * (w + 3) <= shutil.get_terminal_size().columns:
         lines.append("array (above-path cells bracketed):")
-        for row, above in zip(entries, p["mu"] + [0] * (p["m"] - len(p["mu"]))):
+        for i, above in enumerate(p["mu"] + [0] * (m - len(p["mu"]))):
+            row = range(a11 - 2 * t * i, a11 - 2 * t * i - 2 * s * n, -2 * s)
             cells = (f"[{v:>{w}}]" if j < above else f" {v:>{w}} " for j, v in enumerate(row))
             lines.append(" ".join(cells))
     lines.append(_ferrers(core))
@@ -197,12 +201,15 @@ def _map_text(p) -> str:
 
 def _run_unmap(args):
     params = CoreParams(args.s, args.t)
+    check_listing(params)
     core = _parse_partition(args.partition)
     return 0, _path_payload(params, path_from_core(core, params), core)
 
 
 def _run_largest(args):
-    core = largest_core(CoreParams(args.s, args.t))
+    params = CoreParams(args.s, args.t)
+    check_listing(params)
+    core = largest_core(params)
     return 0, {
         "s": args.s, "t": args.t, "partition": list(core.rows),
         "hooks": list(core.diagonal_hooks()), "size": core.size,
@@ -357,7 +364,9 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: the subparser of the command it names, or
+    all of them for the top-level help and errors (no known command)."""
     parser = argparse.ArgumentParser(
         prog="corepaths",
         description=(
@@ -365,8 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
             "partitions via lattice paths."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    # with one subparser built, the metavar still lists every command, so
+    # the top-level usage line (in "unrecognized arguments") is unchanged
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=named and "{" + ",".join(COMMANDS) + "}"
+    )
     for name, (help_text, arguments, _, views, budget) in COMMANDS.items():
+        if named not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
@@ -380,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     _, _, run, views, _ = COMMANDS[args.command]
     try:
         code, payload = run(args)

@@ -22,6 +22,7 @@ from .bijection import (
     DEFAULT_PATH_BUDGET,
     CoreParams,
     LatticePath,
+    _row_hooks,
     build_array,
     check_budget,
     largest_core,
@@ -96,54 +97,52 @@ def _prefix_rows(params: CoreParams) -> Iterator[tuple[int, ...]]:
     )
 
 
-def _iter_above_sums(prefix, n: int) -> Iterator[int]:
-    """The above-sum of every path of the box, in the order of
-    ``iter_box_partitions``: the sum of the array entries above the path.
-
-    prefix is the (m, n+1) row-prefix-sum table of the array, top row
-    first.  Each colexicographic successor bumps the first bumpable row and
-    resets the rows before it to the new value, and the sum follows those
-    rows alone.
-    """
-    m = len(prefix)
-    mu = [0] * m
-    above = 0
-    while True:
-        yield above
-        for i in range(m):
-            cap = n if i == 0 else mu[i - 1]
-            if mu[i] < cap:
-                v = mu[i] + 1
-                for r in range(i + 1):
-                    above += prefix[r][v] - prefix[r][mu[r]]
-                    mu[r] = v
-                break
-        else:
-            return
-
-
 def fold_path_sizes(s: int, t: int) -> CoreStats:
     """Fold exact size statistics over every path of the (s, t) box, one
     path at a time: the walk ``verify_pair`` checks the staircase fold by.
 
-    Each colexicographic step resets up to m rows, so on a box taller than
-    wide the walk runs on the transposed table instead: the (t, s) array is
-    the transpose of the (s, t) array, and transposing a path's
-    above-partition keeps its above-sum, so the statistics are the same.
+    A path's above-sum is the sum of the array entries above it.  In the
+    order of ``iter_box_partitions`` the top row runs fastest, from the
+    second row's value to n, so a run of paths has above-sums
+    base + prefix_0[v], base being what the rows below hold.  Each step of
+    those rows bumps the first bumpable one and resets the rows before it
+    to the new value, and base follows those rows alone.
+
+    A step resets up to m rows, so on a box taller than wide the walk runs
+    on the transposed table: the (t, s) array is the transpose of the
+    (s, t) array, and transposing a path's above-partition keeps its
+    above-sum, so the statistics are the same.
     """
     params = CoreParams(s, t)
     if params.m > params.n:
         params = CoreParams(t, s)
+    m, n = params.m, params.n
     top = params.max_core_size
-    sums = _iter_above_sums(tuple(_prefix_rows(params))[::-1], params.n)
-    count = above_total = k = 0
+    prefix = tuple(_prefix_rows(params))[::-1]  # top row first
+    first = prefix[0]
+    # mu[r] is the value of the row prefix[r] sums, for r >= 1; mu[0] = n
+    # caps the second row, as the top row runs up to n
+    mu = [n] + [0] * (m - 1)
+    base = lo = count = above_total = k = 0
     low = top + 1  # every above-sum is at most top, a size at least 0
-    for count, above in enumerate(sums, 1):
-        above_total += above
-        if above < low:
-            low, k = above, 1
-        elif above == low:
-            k += 1
+    while True:
+        for a in first[lo:]:
+            above = base + a
+            above_total += above
+            if above <= low:
+                if above < low:
+                    low, k = above, 0
+                k += 1
+        count += n + 1 - lo
+        for i in range(1, m):
+            if mu[i] < mu[i - 1]:
+                lo = mu[i] + 1
+                for r in range(1, i + 1):
+                    base += prefix[r][lo] - prefix[r][mu[r]]
+                    mu[r] = lo
+                break
+        else:
+            break
     assert count == params.path_count
     return CoreStats(count, top * count - above_total, top - low, k)
 
@@ -213,12 +212,6 @@ def enumerated_stats(
     return _staircase_sizes(s, t)
 
 
-def average_size_formula(s: int, t: int) -> Fraction:
-    """The closed-form average size (s+t+1)(s-1)(t-1)/24, in lowest terms."""
-    CoreParams(s, t)
-    return Fraction((s + t + 1) * (s - 1) * (t - 1), 24)
-
-
 def total_size_from_path_counts(s: int, t: int) -> int:
     """Total size of all self-conjugate (s, t)-cores via the below-count
     table: the largest size times the path count, minus each array entry
@@ -269,11 +262,10 @@ def _largest_excess(params: CoreParams, outer: tuple[int, ...]) -> int:
         corners = ((n,) * r + (0,) * (m - r) for r in range(m + 1))
     else:
         corners = ((c,) * m for c in range(n + 1))
-    hook_set = build_array(params.s, params.t).hook_set
     best = 0
     for cuts in corners:
         k = 0
-        for i, h in enumerate(hook_set(cuts), 1):
+        for i, h in enumerate(sorted(_row_hooks(params, cuts), reverse=True), 1):
             # i hooks of the corner's set are >= h, and k of outer's
             while k < len(outer) and outer[k] >= h:
                 k += 1

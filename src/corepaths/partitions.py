@@ -132,22 +132,6 @@ class Partition(Value):
             return False
         return all(self.rows[i] >= inner.rows[i] for i in range(len(inner)))
 
-    def hook_length(self, i: int, j: int) -> int:
-        """Hook length of cell (i, j); raises if (i, j) is not a cell."""
-        if i < 1 or j < 1 or i > len(self.rows) or j > self.rows[i - 1]:
-            raise ValueError(f"not a cell of the diagram: ({i}, {j})")
-        conj_j = sum(1 for r in self.rows if r >= j)
-        return self.rows[i - 1] - j + conj_j - i + 1
-
-    def hook_lengths(self) -> list[int]:
-        """All hook lengths, row by row."""
-        conj = self.conjugate().rows
-        return [
-            r - j + conj[j - 1] - i
-            for i, r in enumerate(self.rows)
-            for j in range(1, r + 1)
-        ]
-
     def first_column_hooks(self) -> list[int]:
         """Hook lengths of the first-column cells, top to bottom.
 
@@ -157,12 +141,12 @@ class Partition(Value):
         return list(map(add, self.rows, range(len(self.rows) - 1, -1, -1)))
 
     def durfee(self) -> int:
-        """Side of the largest square fitting in the diagram."""
-        d = 0
-        for i, r in enumerate(self.rows, start=1):
-            if r >= i:
-                d = i
-        return d
+        """Side of the largest square fitting in the diagram: the rows before
+        the first one shorter than its (1-based) index."""
+        for i, r in enumerate(self.rows):
+            if r <= i:
+                return i
+        return len(self.rows)
 
     def diagonal_hooks(self) -> tuple[int, ...]:
         """Hook lengths of the main diagonal cells, strictly decreasing.
@@ -172,7 +156,7 @@ class Partition(Value):
         """
         if not self.is_self_conjugate():
             raise ValueError("diagonal hooks require a self-conjugate partition")
-        return tuple(2 * (self.rows[i - 1] - i) + 1 for i in range(1, self.durfee() + 1))
+        return tuple([2 * (r - i) + 1 for i, r in enumerate(self.rows[: self.durfee()], 1)])
 
     def ferrers(self) -> str:
         """One line of box glyphs per row; the empty partition is '(empty)'."""
@@ -227,13 +211,10 @@ def partition_from_diagonal_hooks(hooks: Iterable[int]) -> Partition:
     k = len(hs)
     rows = [(h - 1) // 2 + i for i, h in enumerate(hs, start=1)]
     # row i > k is column i: the number c of the first k rows reaching
-    # column i.  c only shrinks as i grows, and the last row is rows[0]
-    # (the first column has rows[0] cells), so c >= 1 throughout
-    c = k
-    for i in range(k + 1, (rows[0] if rows else 0) + 1):
-        while rows[c - 1] < i:
-            c -= 1
-        rows.append(c)
+    # column i, so value c fills the rows rows[c] + 1 .. rows[c-1] (0-based
+    # list, rows[k] read as k): one step per value, from k down to 1
+    for c in range(k, 0, -1):
+        rows += [c] * (rows[c - 1] - (rows[c] if c < k else k))
     return Partition(tuple(rows))
 
 

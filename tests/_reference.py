@@ -1,17 +1,20 @@
 """Reference implementations the tests compare the package against, and
 that the package itself never calls: enumerations of every partition of a
-size, inside a shape or inside a box (exponential, small inputs only), the
-all-cells t-core scan, two independent characterisations (t-core-ness
-from diagonal hooks, core size from the array entries above a path), and
-the containment sweep over every path's hook set.
+size, inside a shape or inside a box (exponential, small inputs only),
+cell-by-cell hook lengths and the all-cells t-core scan, two independent
+characterisations (t-core-ness from diagonal hooks, core size from the
+array entries above a path), a path's hook set read off the built array by
+its definition, the closed-form average size, and the containment sweep
+over every path's hook set.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator
 
-from corepaths.bijection import CoreParams, LatticePath, build_array
+from corepaths.bijection import CoreArray, CoreParams, LatticePath, build_array
 from corepaths.enumeration import iter_box_partitions
 from corepaths.partitions import Partition, diagonal_hooks_within, validate_hook_set
 
@@ -94,11 +97,29 @@ def column_pair_total(m: int, n: int) -> int:
     return total
 
 
+def hook_length(p: Partition, i: int, j: int) -> int:
+    """Hook length of cell (i, j) of ``p``; raises if (i, j) is not a cell."""
+    if i < 1 or j < 1 or i > len(p.rows) or j > p.rows[i - 1]:
+        raise ValueError(f"not a cell of the diagram: ({i}, {j})")
+    conj_j = sum(1 for r in p.rows if r >= j)
+    return p.rows[i - 1] - j + conj_j - i + 1
+
+
+def hook_lengths(p: Partition) -> list[int]:
+    """All hook lengths of ``p``, row by row."""
+    conj = p.conjugate().rows
+    return [
+        r - j + conj[j - 1] - i
+        for i, r in enumerate(p.rows)
+        for j in range(1, r + 1)
+    ]
+
+
 def is_t_core_scan(p: Partition, t: int) -> bool:
     """Literal definition of t-core: scan every cell for hook length t."""
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
-    return t not in set(p.hook_lengths())
+    return t not in set(hook_lengths(p))
 
 
 def hook_set_is_t_core(hooks: Iterable[int], t: int) -> bool:
@@ -126,6 +147,29 @@ def hook_set_is_t_core(hooks: Iterable[int], t: int) -> bool:
     return True
 
 
+def positive_sum(arr: CoreArray) -> int:
+    """Sum of the positive entries of the built array; equals the largest
+    core size."""
+    return sum(v for row in arr.entries for v in row if v > 0)
+
+
+def hook_set(arr: CoreArray, cuts: tuple[int, ...]) -> tuple[int, ...]:
+    """Diagonal hook set of the path with cuts[i] cells above it in row
+    i + 1, read off the built array by definition: the positive entries
+    right of each cut plus the absolute values of the negative entries left
+    of it, sorted decreasing."""
+    hooks = []
+    for row, k in zip(arr.entries, cuts):
+        hooks += [v for v in row[k:] if v > 0] + [-v for v in row[:k] if v < 0]
+    return validate_hook_set(hooks)
+
+
+def average_size_formula(s: int, t: int) -> Fraction:
+    """The closed-form average size (s+t+1)(s-1)(t-1)/24, in lowest terms."""
+    CoreParams(s, t)
+    return Fraction((s + t + 1) * (s - 1) * (t - 1), 24)
+
+
 def core_size_from_path(path: LatticePath, params: CoreParams) -> int:
     """Size of the core for a path, computed without building the partition:
     the largest core size minus the sum of array entries above the path."""
@@ -141,10 +185,32 @@ def core_size_from_path(path: LatticePath, params: CoreParams) -> int:
 def count_paths_not_within(params: CoreParams, outer: tuple[int, ...]) -> int:
     """How many path images of the box do not fit in the self-conjugate
     partition with diagonal hooks ``outer``: one hook set per path, read
-    through ``CoreArray.hook_set`` in the order of ``iter_box_partitions``
-    and compared by ``diagonal_hooks_within``.  C(m+n, m) sorts."""
-    hook_set = build_array(params.s, params.t).hook_set
+    through ``hook_set`` in the order of ``iter_box_partitions`` and
+    compared by ``diagonal_hooks_within``.  C(m+n, m) sorts."""
+    arr = build_array(params.s, params.t)
     return sum(
-        not diagonal_hooks_within(hook_set(mu), outer)
+        not diagonal_hooks_within(hook_set(arr, mu), outer)
         for mu in iter_box_partitions(params.m, params.n)
     )
+
+
+def path_from_core_by_sweep(p: Partition, params: CoreParams) -> LatticePath | None:
+    """The path mapping to ``p`` by a sweep of the built array, or None when
+    ``p`` is not in the bijection image.  A cell lies above the path
+    exactly when it holds a positive entry that is not a diagonal hook of
+    ``p`` or a negative entry whose absolute value is; each row's cut
+    counts those cells, and the cuts must weakly decrease and carry
+    ``p``'s hook set.  O(mn) membership tests."""
+    try:
+        hooks = p.diagonal_hooks()
+    except ValueError:
+        return None
+    members = set(hooks)
+    arr = build_array(params.s, params.t)
+    cuts = tuple(
+        sum((v not in members) if v > 0 else (-v in members) for v in row)
+        for row in arr.entries
+    )
+    if any(a < b for a, b in zip(cuts, cuts[1:])) or hook_set(arr, cuts) != hooks:
+        return None
+    return LatticePath(arr.m, arr.n, Partition(tuple(k for k in cuts if k)))

@@ -240,3 +240,33 @@ def test_criterion_12_tall_box_walk():
     start = time.perf_counter()
     ok = fold_path_sizes(16001, 3) == fold_path_sizes(3, 16001)
     _report("12 tall-box walk", ok, time.perf_counter() - start, 1.0)
+
+
+def test_criterion_13_array_free_round_trip():
+    # (1999, 2001): a 999 x 1000 box, whose array of 999,000 entries the
+    # bijection never builds.  A seeded path maps to its core and back in
+    # O(H + m) steps for H hooks, where a membership sweep of the array
+    # takes O(mn); the traced peak of path_from_core holds the hooks and
+    # the cuts, not the array
+    import random
+    import tracemalloc
+
+    params = CoreParams(1999, 2001)
+    m, n = params.m, params.n
+    rng = random.Random(13)
+    cols = sorted((rng.randint(0, m) for _ in range(n)), reverse=True)
+    mu = tuple(r for r in (sum(c >= i for c in cols) for i in range(1, m + 1)) if r)
+    path = LatticePath(m, n, Partition(mu))
+    start = time.perf_counter()
+    core = core_from_path(path, params)
+    ok = path_from_core(core, params) == path
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        path_from_core(core, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"ACCEPTANCE 13 path_from_core traced peak: {peak / 2**20:.2f} MiB (bound 16)")
+    assert peak < 16 * 2**20
+    _report("13 array-free round trip", ok, elapsed, 2.0)

@@ -16,6 +16,7 @@ from corepaths import (
     Partition,
     PartitionSurvey,
     build_array,
+    path_hook_set,
 )
 from corepaths.enumeration import verify_pair
 
@@ -43,9 +44,10 @@ PUBLIC = {
     "survey_partitions",
 }
 
-# the exponential references live in tests/_reference.py; the wrapper
-# brute_force_all_cores_count is gone
+# the exponential references and the formula only the tests call live in
+# tests/_reference.py; the wrapper brute_force_all_cores_count is gone
 REMOVED = {
+    "average_size_formula",
     "iter_partitions",
     "iter_partitions_up_to",
     "iter_subpartitions",
@@ -74,6 +76,9 @@ def test_removed_names_are_in_no_module():
     for module in modules:
         assert not REMOVED & set(vars(module)), module.__name__
     assert not hasattr(LatticePath, "is_above")
+    for cls, method in ((Partition, "hook_length"), (Partition, "hook_lengths"),
+                        (CoreArray, "hook_set"), (CoreArray, "positive_sum")):
+        assert not hasattr(cls, method), method
     assert "oracle_budget" not in inspect.signature(verify_pair).parameters
 
 
@@ -142,7 +147,8 @@ def test_core_array_compares_by_identity_and_omits_entries_from_repr():
     twin = CoreArray(arr.params, arr.entries)
     assert arr == arr and arr != twin and hash(arr) != hash(twin)
     assert repr(arr) == "CoreArray(params=CoreParams(s=8, t=11))"
-    assert twin.hook_set((0, 0, 0, 0)) == arr.hook_set((0, 0, 0, 0))
+    path = LatticePath(4, 5)
+    assert path_hook_set(path, twin) == path_hook_set(path, arr)
     for name in ("params", "entries"):
         with pytest.raises(AttributeError):
             setattr(arr, name, None)

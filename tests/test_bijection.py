@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -13,10 +14,10 @@ from corepaths import (
     path_from_core,
     path_hook_set,
 )
-from corepaths.enumeration import coprime_pairs
-from corepaths.partitions import is_t_core
+from corepaths.enumeration import coprime_pairs, iter_box_partitions
+from corepaths.partitions import is_t_core, partition_from_diagonal_hooks
 
-from _reference import core_size_from_path
+from _reference import core_size_from_path, hook_set, path_from_core_by_sweep, positive_sum
 
 FIG1_PARAMS = CoreParams(8, 11)
 FIG1_PATH = LatticePath(4, 5, Partition((4, 3, 3, 2)))
@@ -71,7 +72,7 @@ def test_array_invariants_sweep():
             for i in range(1, arr.m):
                 assert arr.entry(i + 1, j) - arr.entry(i, j) == -2 * t
         # sum of positive entries is the largest core size
-        assert arr.positive_sum() == (s * s - 1) * (t * t - 1) // 24
+        assert positive_sum(arr) == (s * s - 1) * (t * t - 1) // 24
 
 
 def test_lattice_path_validation():
@@ -303,3 +304,64 @@ def test_largest_core_contains_every_path_image():
         lam = largest_core(params)
         for path in iter_paths(params.m, params.n):
             assert lam.contains(core_from_path(path, params))
+
+
+def test_row_progressions_match_the_reference_hook_set_on_every_path_to_15():
+    # the arithmetic hook set of every path against the one read off the
+    # built array by definition, in both orientations of each box
+    paths = 0
+    for s, t in coprime_pairs(15):
+        for params in (CoreParams(s, t), CoreParams(t, s)):
+            arr = build_array(params.s, params.t)
+            for mu in iter_box_partitions(params.m, params.n):
+                path = LatticePath(params.m, params.n, Partition(tuple(r for r in mu if r)))
+                expected = hook_set(arr, mu)
+                assert path_hook_set(path, arr) == expected, (params, mu)
+                assert core_from_path(path, params) == partition_from_diagonal_hooks(expected)
+                paths += 1
+    assert paths == 2 * 13524
+
+
+def test_path_from_core_agrees_with_the_sweep_on_seeded_non_images():
+    # random hook sets, and path images with one hook added, dropped or
+    # moved by 2, against the array sweep: the same paths accepted, the
+    # rest refused, for even s or t too and in both orders
+    rng = random.Random(2016)
+    accepted = refused = 0
+    for s, t in coprime_pairs(13):
+        for params in (CoreParams(s, t), CoreParams(t, s)):
+            images = [
+                core_from_path(path, params).diagonal_hooks()
+                for path in iter_paths(params.m, params.n)
+            ]
+            odd = range(1, params.s * params.t, 2)
+            candidates = [set(rng.sample(odd, rng.randint(0, min(4, len(odd))))) for _ in range(40)]
+            for hooks in rng.sample(images, min(20, len(images))):
+                h = set(hooks)
+                candidates += [h | {rng.choice(odd)}, h - {rng.choice(hooks or (1,))}]
+                if hooks:
+                    x = rng.choice(hooks)
+                    candidates.append(h - {x} | {max(1, x + rng.choice((-2, 2)))})
+            for hooks in candidates:
+                p = partition_from_diagonal_hooks(hooks)
+                expected = path_from_core_by_sweep(p, params)
+                try:
+                    found = path_from_core(p, params)
+                except ValueError as exc:
+                    assert expected is None, (params, p)
+                    assert str(exc) == f"not in the bijection image: {p}"
+                    refused += 1
+                    continue
+                assert found == expected, (params, p)
+                accepted += 1
+    assert accepted > 0 and refused > accepted
+    # not self-conjugate: refused by both
+    for p in (Partition((2,)), Partition((3, 1)), Partition((4, 2, 1))):
+        assert path_from_core_by_sweep(p, FIG1_PARAMS) is None
+        with pytest.raises(ValueError, match="is not self-conjugate"):
+            path_from_core(p, FIG1_PARAMS)
+
+
+def test_core_from_path_box_mismatch():
+    with pytest.raises(ValueError, match="path box 1x1 does not match array 4x5"):
+        core_from_path(LatticePath(1, 1), FIG1_PARAMS)

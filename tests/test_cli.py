@@ -455,12 +455,13 @@ def _main_under_memory_limit(argv):
     ],
 )
 def test_array_commands_refuse_a_box_over_the_cell_cap(argv):
-    # a 1 x 10000001 box: refused before the array or the core is built,
-    # under an address-space limit that building them would break
+    # a 1 x 10000001 box, whose largest core has (3-1)(20000003-1)/2 rows:
+    # refused before the core is built, under an address-space limit that
+    # building it would break
     proc = _main_under_memory_limit([*argv, "--s", "3", "--t", "20000003"])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == (
-        "error: m*n = 10000001 array cells is over the supported maximum of 10**6\n"
+        "error: a core of up to 20000002 rows, over the supported maximum of 10**7\n"
     )
     assert float(proc.stdout) < 1.0
 
@@ -971,3 +972,41 @@ def test_golden_output(capsys, monkeypatch, argv, code, out, err):
     # map --format text shows its array only when it fits the terminal width
     monkeypatch.setenv("COLUMNS", "80")
     assert run(capsys, *shlex.split(argv)) == (code, out, err)
+
+
+def _commands(parser):
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    return list(sub.choices)
+
+
+def test_parser_builds_only_the_named_command():
+    from corepaths.cli import COMMANDS, build_parser
+
+    for name in COMMANDS:
+        assert _commands(build_parser([name, "--s", "3"])) == [name]
+    for argv in ([], ["--help"], ["-h", "stats"], ["bogus"], None):
+        assert _commands(build_parser(argv)) == list(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "--s", "3", "--t", "4", "--bogus"],
+        ["largest", "--s", "3", "--t", "4", "--budget", "5"],
+        ["verify", "--s"],
+        ["map", "--help"],
+        ["bogus"],
+        [],
+    ],
+    ids=["unrecognized", "no-budget", "missing-value", "command-help", "unknown", "none"],
+)
+def test_a_one_command_parser_prints_what_the_full_parser_does(capsys, argv):
+    # usage lines, help and errors are the same bytes whichever parser runs
+    from corepaths.cli import build_parser
+
+    printed = []
+    for parser in (build_parser(argv), build_parser([])):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        printed.append((exc.value.code, *capsys.readouterr()))
+    assert printed[0] == printed[1]

@@ -6,8 +6,8 @@ import pytest
 from corepaths import enumeration
 from corepaths import (
     BudgetError,
-    CoreArray,
     CoreParams,
+    CoreStats,
     Partition,
     build_array,
     core_from_path,
@@ -18,7 +18,6 @@ from corepaths import (
 )
 from corepaths.enumeration import (
     _largest_excess,
-    average_size_formula,
     coprime_pairs,
     fold_path_sizes,
     iter_box_partitions,
@@ -26,7 +25,7 @@ from corepaths.enumeration import (
     total_size_from_path_counts,
 )
 
-from _reference import count_paths_not_within
+from _reference import average_size_formula, count_paths_not_within, hook_set
 
 
 def test_iter_box_partitions_2x2_order():
@@ -192,14 +191,14 @@ def test_staircase_fold_closed_forms_far_over_the_path_budget(s, t):
 def test_staircase_check_fails_when_the_walk_is_off_by_one(monkeypatch, capsys):
     from corepaths.cli import main
 
-    walk = enumeration._iter_above_sums
+    walk = enumeration.fold_path_sizes
 
-    def off_by_one(prefix, n):
-        # the second path's above-sum one short: its core one cell larger
-        for k, above in enumerate(walk(prefix, n)):
-            yield above - (k == 1)
+    def off_by_one(s, t):
+        # one path's above-sum one short: its core one cell larger
+        st = walk(s, t)
+        return CoreStats(st.count, st.total_size + 1, st.max_size, st.max_multiplicity)
 
-    monkeypatch.setattr(enumeration, "_iter_above_sums", off_by_one)
+    monkeypatch.setattr(enumeration, "fold_path_sizes", off_by_one)
     report = verify_pair(8, 11)
     failed = [c for c in report["checks"] if not c["pass"]]
     assert failed == [
@@ -389,11 +388,17 @@ def test_verify_pair_checks_containment_past_the_old_sweep_limit():
 def test_containment_reads_only_the_corner_paths(monkeypatch):
     # the containment check reads min(m, n) + 1 hook sets, and largest_core
     # one more: no path of the box is enumerated for it
+    from corepaths import bijection
+
     calls = []
-    hook_set = CoreArray.hook_set
-    monkeypatch.setattr(
-        CoreArray, "hook_set", lambda arr, cuts: calls.append(cuts) or hook_set(arr, cuts)
-    )
+    row_hooks = bijection._row_hooks
+
+    def counted(params, cuts):
+        calls.append(cuts)
+        return row_hooks(params, cuts)
+
+    monkeypatch.setattr(bijection, "_row_hooks", counted)
+    monkeypatch.setattr(enumeration, "_row_hooks", counted)
     for s, t in ((16, 17), (17, 16), (3, 2003), (2003, 3)):
         calls.clear()
         params = CoreParams(s, t)
@@ -423,10 +428,10 @@ def test_containment_check_counts_what_contains_counts(monkeypatch):
 def _literal_largest_excess(params, outer):
     # the largest #{h >= x} - #{outer >= x} over every path's hook set h
     # and every hook x of h, by the definition
-    hook_set = build_array(params.s, params.t).hook_set
+    arr = build_array(params.s, params.t)
     best = 0
     for mu in iter_box_partitions(params.m, params.n):
-        hooks = hook_set(mu)
+        hooks = hook_set(arr, mu)
         for x in hooks:
             best = max(best, sum(h >= x for h in hooks) - sum(o >= x for o in outer))
     return best

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 from .partitions import Partition, Value, _set, partition_from_diagonal_hooks, validate_hook_set
 
@@ -221,24 +222,23 @@ class LatticePath(Value):
     def steps(self) -> str:
         """The path as a word over U/R read from the lower-left corner.
 
-        Crossing column j the path runs at height m minus the number of
-        above-cells in that column, so it climbs to that height and takes
-        one right step per column.
+        Row i has mu_i cells above the path, on its left, so the path
+        crosses row i after mu_i right steps: from the bottom it takes
+        mu_i - mu_(i+1) right steps and one up step per row (mu_(m+1) = 0),
+        then the n - mu_1 right steps left.  O(m + n).
         """
-        conj = self.mu.conjugate()
-        word = []
-        height = 0
-        for j in range(1, self.n + 1):
-            target = self.m - conj.row(j)
-            word.append("U" * (target - height))
-            word.append("R")
-            height = target
-        word.append("U" * (self.m - height))
+        rows = self.mu.rows
+        word = ["U" * (self.m - len(rows))]
+        below = 0
+        for r in reversed(rows):
+            word.append("R" * (r - below) + "U")
+            below = r
+        word.append("R" * (self.n - below))
         return "".join(word)
 
     @classmethod
     def from_steps(cls, word: str, m: int, n: int) -> "LatticePath":
-        """Parse a U/R word read from the lower-left corner."""
+        """Parse a U/R word read from the lower-left corner.  O(m + n)."""
         word = word.strip().upper()
         ups = word.count("U")
         rights = word.count("R")
@@ -248,16 +248,10 @@ class LatticePath(Value):
             raise ValueError(
                 f"step word needs exactly {m} U's and {n} R's, got {ups} and {rights}"
             )
-        # column j gets m - height cells above the path, height = U's so far
-        height = 0
-        cols = []
-        for c in word:
-            if c == "U":
-                height += 1
-            else:
-                cols.append(m - height)
-        mu_rows = [sum(1 for c in cols if c >= i) for i in range(1, m + 1)]
-        return cls(m, n, Partition(tuple(r for r in mu_rows if r > 0)))
+        # the k-th up step leaves row m + 1 - k with the right steps so far
+        # above the path: the rows of mu bottom up, zeros first
+        rows = list(accumulate(map(len, word.split("U")[:-1])))
+        return cls(m, n, Partition(tuple(r for r in reversed(rows) if r)))
 
 
 def _row_hooks(params: CoreParams, cuts) -> list[int]:

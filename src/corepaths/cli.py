@@ -209,10 +209,14 @@ def _run_unmap(args):
 def _run_largest(args):
     params = CoreParams(args.s, args.t)
     check_listing(params)
+    # the largest core is the empty path's image: its hooks come from that
+    # path's cuts, all 0, as in _run_map, not from the core's diagonal, which
+    # reruns the O(rows) self-conjugacy test
+    hooks = sorted(_row_hooks(params, [0] * params.m), reverse=True)
     core = largest_core(params)
     return 0, {
         "s": args.s, "t": args.t, "partition": list(core.rows),
-        "hooks": list(core.diagonal_hooks()), "size": core.size,
+        "hooks": hooks, "size": core.size,
     }
 
 

@@ -12,11 +12,14 @@ bound and test it cell-honestly:
 
 In both searches the core condition, read off the hook definition, only
 relates each new largest hook to smaller ones, so every set the search
-reaches is a core and it never backtracks out of a dead end.  The searches
+reaches is a core and it never backtracks out of a dead end.  Each node's
+partition is grown from its parent's in one step (one new top row, or one
+new first row and column), so neither search rebuilds rows from a hook
+set, and none shares a row builder with the bijection.  The searches
 only ever skip sets that break the core condition, and every emitted
-candidate is filtered through the honest hook test again, so a wrong rule
-can drop results but never admit wrong ones; the set-equality tests
-against the literal sweeps guard the rest.
+partition is validated and filtered through the honest hook test again, so
+a wrong rule can drop results but never admit wrong ones; the set-equality
+tests against the literal sweeps guard the rest.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .bijection import (
     check_listing,
     largest_core,
 )
-from .partitions import Partition, Value, _set, partition_from_diagonal_hooks
+from .partitions import Partition, Value, _set
 
 
 def _is_core(p: Partition, s: int, t: int) -> bool:
@@ -43,12 +46,10 @@ def _is_core(p: Partition, s: int, t: int) -> bool:
     return hooks.issuperset(below_s) and hooks.issuperset(below_t)
 
 
-def _core_hook_sets(
-    s: int, t: int, max_size: float = inf
-) -> Iterator[tuple[int, ...]]:
-    """First-column hook sets of the (s, t)-cores of size at most
-    ``max_size``, each in increasing order, by one depth-first search from
-    the empty set, which is yielded first.
+def _core_search(s: int, t: int, max_size: float = inf) -> Iterator[Partition]:
+    """The (s, t)-cores of size at most ``max_size``, by one depth-first
+    search over their first-column hook sets from the empty set, whose
+    partition is yielded first.
 
     The rule comes from the hook definition alone.  A partition with k rows
     has the first-column hook set beta = {rows[i] + k - i : 1 <= i <= k};
@@ -63,54 +64,50 @@ def _core_hook_sets(
     beta add one u above max beta, no higher than max beta + min(s, t)
     (above that u - min(s, t) would have to be in beta) and no higher than
     the Frobenius number st - s - t, which no hook of an (s, t)-core
-    exceeds.  The size is sum(beta) - C(k, 2), so adding u to k members
-    adds u - k >= 1 cells and the size cap bounds u directly.
+    exceeds.  Adding u to k members adds one new top row u - k >= 1 above
+    the parent's rows, so the size cap bounds u directly, and each node's
+    rows are its parent's with that row in front.
     """
     top = s * t - s - t
     step = min(s, t)
     member = bytearray(top + 1)
-    chosen: list[int] = []
+    # the rows bottom-up, one per member: member k (0-based) is rows[k] + k
+    rows: list[int] = []
     size = 0
     # per level, the candidates still to try for the next member
     levels = [iter(range(1, min(step, top, max_size) + 1))]
-    yield ()
+    yield Partition()
     while levels:
         for u in levels[-1]:
             if (member[u - s] if u > s else u != s) and (
                 member[u - t] if u > t else u != t
             ):
                 member[u] = 1
-                size += u - len(chosen)
-                chosen.append(u)
-                hi = min(u + step, top, max_size - size + len(chosen))
+                rows.append(u - len(rows))
+                size += rows[-1]
+                hi = min(u + step, top, max_size - size + len(rows))
                 levels.append(iter(range(u + 1, hi + 1)))
-                yield tuple(chosen)
+                yield Partition(rows[::-1])
                 break
         else:
             levels.pop()
-            if chosen:
-                u = chosen.pop()
-                member[u] = 0
-                size -= u - len(chosen)
-
-
-def _partition_of(hooks: tuple[int, ...]) -> Partition:
-    """The partition with the increasing first-column hook set ``hooks``:
-    rows b - j over it (0-based j), reversed."""
-    return Partition(tuple(b - j for j, b in enumerate(hooks))[::-1])
+            if rows:
+                r = rows.pop()
+                member[r + len(rows)] = 0
+                size -= r
 
 
 def cores_within(shape: tuple[int, ...], s: int, t: int) -> list[tuple[int, ...]]:
     """All (s, t)-cores contained in ``shape``, by the hook-set search
-    capped at the size of ``shape``.  Every set the search yields is
-    filtered through the honest hook test again.  Raises ValueError unless
-    (s, t) is coprime, since only then does the Frobenius number bound the
-    hooks, and unless ``shape`` is a partition."""
+    capped at the size of ``shape``.  Every partition the search yields
+    is filtered through the honest hook test again.  Raises ValueError
+    unless (s, t) is coprime, since only then does the Frobenius number
+    bound the hooks, and unless ``shape`` is a partition."""
     CoreParams(s, t)
     outer = Partition(shape)
     return [
         p.rows
-        for p in map(_partition_of, _core_hook_sets(s, t, outer.size))
+        for p in _core_search(s, t, outer.size)
         if _is_core(p, s, t) and outer.contains(p)
     ]
 
@@ -119,22 +116,19 @@ def all_cores_size_stats(
     s: int, t: int, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> tuple[int, int]:
     """(count, total size) over ALL (s, t)-cores, by the uncapped hook-set
-    search, every set filtered through the honest hook test.  The budget
-    counts the C(s+t, s)/(s+t) cores the search lists, and their rows must
-    be within the listing bound of ``check_listing``."""
+    search, every partition filtered through the honest hook test.  The
+    budget counts the C(s+t, s)/(s+t) cores the search lists, and their
+    rows must be within the listing bound of ``check_listing``."""
     params = CoreParams(s, t)
     check_listing(params, check_budget("core", params.all_core_count, budget))
-    sizes = [
-        p.size
-        for p in map(_partition_of, _core_hook_sets(s, t))
-        if _is_core(p, s, t)
-    ]
+    sizes = [p.size for p in _core_search(s, t) if _is_core(p, s, t)]
     return len(sizes), sum(sizes)
 
 
-def _sc_hook_sets(s: int, t: int) -> Iterator[tuple[int, ...]]:
-    """Diagonal hook sets of the self-conjugate (s, t)-cores, each in
-    increasing order, by one depth-first search from the empty set.
+def _sc_search(s: int, t: int) -> Iterator[Partition]:
+    """The self-conjugate (s, t)-cores, by one depth-first search over
+    their diagonal hook sets from the empty set, whose partition is
+    yielded first.
 
     The rule comes from the hook definition alone.  A partition's doubled
     Maya diagram S = {2 rows[i] - 2i + 1 : i >= 1} (rows padded by zeros) is
@@ -153,15 +147,24 @@ def _sc_hook_sets(s: int, t: int) -> Iterator[tuple[int, ...]]:
     u - 2 min(s, t) would have to be in D) and no higher than the
     Frobenius number st - s - t, which no hook of an (s, t)-core exceeds.
     Every node is a core, so there are no dead ends and nothing to undo
-    but a membership bytearray and the stack of chosen members.
+    but a membership bytearray and the stack of ancestors.
+
+    A new largest hook u = 2a + 1 wraps the parent's diagram in one more
+    first row and column of a + 1 cells each, which fit as the parent's
+    first row is at most a: the rows become a + 1, each parent row + 1,
+    then rows of 1 up to a + 1 rows in all.
     """
     top = s * t - s - t
     step = 2 * min(s, t)
     member = bytearray(max(top, 2 * s, 2 * t) + 1)
-    chosen: list[int] = []
+    # row r + 1 as one shared int object, for r up to the largest core's
+    # first row (s-1)(t-1)/2, so the listed cores' rows share their ints
+    plus_one = list(range(1, (s - 1) * (t - 1) // 2 + 2)).__getitem__
+    # the ancestors of the next node, root first: the partitions yielded
+    ancestors = [Partition()]
     # per level, the candidates still to try for the next member
     levels = [iter(range(1, min(step, top) + 1, 2))]
-    yield ()
+    yield ancestors[0]
     while levels:
         for u in levels[-1]:
             member[u] = 1  # tried as a member, so u = h breaks the second rule
@@ -169,15 +172,19 @@ def _sc_hook_sets(s: int, t: int) -> Iterator[tuple[int, ...]]:
             if (member[ds] if ds > 0 else not member[-ds]) and (
                 member[dt] if dt > 0 else not member[-dt]
             ):
-                chosen.append(u)
+                a = u >> 1
+                rows = ancestors[-1].rows
+                p = Partition([plus_one(a), *map(plus_one, rows), *(1,) * (a - len(rows))])
+                ancestors.append(p)
                 levels.append(iter(range(u + 2, min(u + step, top) + 1, 2)))
-                yield tuple(chosen)
+                yield p
                 break
             member[u] = 0
         else:
             levels.pop()
-            if chosen:
-                member[chosen.pop()] = 0
+            rows = ancestors.pop().rows
+            if rows:
+                member[2 * rows[0] - 1] = 0  # the largest hook of a self-conjugate partition
 
 
 def brute_force_sc_cores(
@@ -189,11 +196,7 @@ def brute_force_sc_cores(
     of ``check_listing``."""
     params = CoreParams(s, t)
     check_listing(params, check_budget("core", params.path_count, budget))
-    found = []
-    for hooks in _sc_hook_sets(s, t):
-        p = partition_from_diagonal_hooks(hooks)
-        if _is_core(p, s, t):
-            found.append(p)
+    found = [p for p in _sc_search(s, t) if _is_core(p, s, t)]
     found.sort(key=lambda p: (p.size, p.rows))
     return found
 
@@ -233,18 +236,18 @@ def survey_partitions(s: int, t: int, limit: int) -> PartitionSurvey:
     stick out of the largest core.
 
     The search is the hook-set search of ``cores_within``, capped by size
-    alone, so it never assumes containment in the largest core; every set
-    it yields is filtered through the honest hook test.  The literal route,
-    every partition up to the limit tested by the same hook predicates, is
-    in ``tests/_reference.py``.
+    alone, so it never assumes containment in the largest core; every
+    partition it yields is filtered through the honest hook test.  The
+    literal route, every partition up to the limit tested by the same hook
+    predicates, is in ``tests/_reference.py``.
     """
     params = CoreParams(s, t)
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     lam = largest_core(params)
     cores = core_size_total = outside = 0
-    # the empty set comes first, so the last index counts the nonempty ones
-    for visited, p in enumerate(map(_partition_of, _core_hook_sets(s, t, limit))):
+    # the empty partition comes first, so the last index counts the others
+    for visited, p in enumerate(_core_search(s, t, limit)):
         if _is_core(p, s, t):
             cores += 1
             core_size_total += p.size

@@ -4,8 +4,8 @@ size, inside a shape or inside a box (exponential, small inputs only),
 cell-by-cell hook lengths and the all-cells t-core scan, two independent
 characterisations (t-core-ness from diagonal hooks, core size from the
 array entries above a path), a path's hook set read off the built array by
-its definition, the closed-form average size, and the containment sweep
-over every path's hook set.
+its definition, the closed-form average size, the containment sweep
+over every path's hook set, and a path's step word read column by column.
 """
 
 from __future__ import annotations
@@ -214,3 +214,34 @@ def path_from_core_by_sweep(p: Partition, params: CoreParams) -> LatticePath | N
     if any(a < b for a, b in zip(cuts, cuts[1:])) or hook_set(arr, cuts) != hooks:
         return None
     return LatticePath(arr.m, arr.n, Partition(tuple(k for k in cuts if k)))
+
+
+def steps_by_columns(path: LatticePath) -> str:
+    """``path.steps()`` column by column: the path climbs to height m minus
+    the cells above it in column j, read off the conjugate of mu, then
+    steps right.  O(mn)."""
+    conj = path.mu.conjugate()
+    word = []
+    height = 0
+    for j in range(1, path.n + 1):
+        target = path.m - conj.row(j)
+        word.append("U" * (target - height))
+        word.append("R")
+        height = target
+    word.append("U" * (path.m - height))
+    return "".join(word)
+
+
+def path_from_steps_by_columns(word: str, m: int, n: int) -> LatticePath:
+    """``LatticePath.from_steps`` for a valid word, column by column: column
+    j has m - height cells above the path, height the U's before its R,
+    and row i counts the columns of at least i such cells.  O(mn)."""
+    height = 0
+    cols = []
+    for c in word:
+        if c == "U":
+            height += 1
+        else:
+            cols.append(m - height)
+    mu_rows = [sum(1 for c in cols if c >= i) for i in range(1, m + 1)]
+    return LatticePath(m, n, Partition(tuple(r for r in mu_rows if r > 0)))

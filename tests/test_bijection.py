@@ -17,7 +17,14 @@ from corepaths import (
 from corepaths.enumeration import coprime_pairs, iter_box_partitions
 from corepaths.partitions import is_t_core, partition_from_diagonal_hooks
 
-from _reference import core_size_from_path, hook_set, path_from_core_by_sweep, positive_sum
+from _reference import (
+    core_size_from_path,
+    hook_set,
+    path_from_core_by_sweep,
+    path_from_steps_by_columns,
+    positive_sum,
+    steps_by_columns,
+)
 
 FIG1_PARAMS = CoreParams(8, 11)
 FIG1_PATH = LatticePath(4, 5, Partition((4, 3, 3, 2)))
@@ -110,6 +117,28 @@ def test_steps_round_trip_all_small_boxes():
                 word = path.steps()
                 assert word.count("U") == m and word.count("R") == n
                 assert LatticePath.from_steps(word, m, n) == path
+
+
+def test_steps_match_the_column_by_column_reference():
+    # every path of every box up to 6 x 7, then seeded paths of the
+    # 999 x 1000 box of (1999, 2001) with its two corner paths
+    for m in range(1, 7):
+        for n in range(1, 8):
+            for path in iter_paths(m, n):
+                word = path.steps()
+                assert word == steps_by_columns(path), (m, n, path)
+                assert LatticePath.from_steps(word, m, n) == path_from_steps_by_columns(word, m, n)
+    m, n = 999, 1000
+    rng = random.Random(2001)
+    words = ["U" * m + "R" * n, "R" * n + "U" * m]
+    for _ in range(4):
+        steps = ["U"] * m + ["R"] * n
+        rng.shuffle(steps)
+        words.append("".join(steps))
+    for word in words:
+        path = LatticePath.from_steps(word, m, n)
+        assert path == path_from_steps_by_columns(word, m, n)
+        assert path.steps() == steps_by_columns(path) == word
 
 
 def test_steps_semantics_by_counting_rule():

@@ -10,6 +10,7 @@ import pytest
 
 import corepaths
 from corepaths.cli import main
+from corepaths.partitions import Partition
 
 # the directory holding the corepaths package under test, for child processes
 PACKAGE_PARENT = str(Path(corepaths.__file__).resolve().parents[1])
@@ -194,6 +195,20 @@ def test_largest(capsys):
     assert payload["hooks"] == [5]
 
 
+def test_largest_reads_its_hooks_off_the_empty_path(capsys, monkeypatch):
+    # the diagonal hooks of the core would rerun the O(rows) self-conjugacy
+    # loop over the core just built from those hooks
+    def refuse(self):
+        raise AssertionError("self-conjugacy loop run")
+
+    monkeypatch.setattr(Partition, "is_self_conjugate", refuse)
+    code, out, _ = run(capsys, "largest", "--s", "8", "--t", "11")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["hooks"] == [69, 53, 47, 37, 31, 25, 21, 15, 9, 5, 3]
+    assert payload["size"] == (8**2 - 1) * (11**2 - 1) // 24
+
+
 def test_enumerate_json_lines(capsys):
     code, out, _ = run(capsys, "enumerate", "--s", "3", "--t", "4")
     assert code == 0
@@ -341,8 +356,8 @@ def test_bruteforce_refuses_before_any_search(capsys, monkeypatch, argv, count):
     def searched(*args):
         raise AssertionError("searched past the budget")
 
-    monkeypatch.setattr(oracles, "_sc_hook_sets", searched)
-    monkeypatch.setattr(oracles, "_core_hook_sets", searched)
+    monkeypatch.setattr(oracles, "_sc_search", searched)
+    monkeypatch.setattr(oracles, "_core_search", searched)
     err = (
         f"error: brute-force search lists {count} cores, over the budget of 100000; "
         "raise the budget to proceed\n"

@@ -97,18 +97,20 @@ def test_cores_within_validates_its_inputs():
 
 def test_core_hook_sets_yield_only_cores_and_all_of_them():
     # without the honest filter of the callers: a growth rule that admitted
-    # a non-core, or listed one twice, would show here
+    # a non-core, or listed one twice, would show here.  Each node adds one
+    # hook above its parent's, so its parent, its rows without the top one,
+    # comes before it
     import corepaths.oracles as oracles
 
     for a, b in coprime_pairs(11):
         for s, t in ((a, b), (b, a)):
-            found = list(oracles._core_hook_sets(s, t))
-            assert len(found) == len(set(found)), (s, t)
-            for hooks in found:
-                assert list(hooks) == sorted(hooks), (s, t, hooks)
-                p = oracles._partition_of(hooks)
-                assert sorted(p.first_column_hooks()) == list(hooks)
-                assert is_t_core(p, s) and is_t_core(p, t), (s, t, hooks)
+            found = list(oracles._core_search(s, t))
+            seen = set()
+            for p in found:
+                assert Partition(p.rows) == p and p.rows not in seen, (s, t, p)
+                assert not p.rows or p.rows[1:] in seen, (s, t, p)
+                seen.add(p.rows)
+                assert is_t_core(p, s) and is_t_core(p, t), (s, t, p)
             assert len(found) * (s + t) == comb(s + t, s), (s, t)
 
 
@@ -124,10 +126,7 @@ def test_core_hook_sets_match_the_literal_sweep_under_every_cap():
                 if is_t_core(Partition(rows), s) and is_t_core(Partition(rows), t)
             ]
             for cap in caps:
-                found = [
-                    oracles._partition_of(hooks).rows
-                    for hooks in oracles._core_hook_sets(s, t, cap)
-                ]
+                found = [p.rows for p in oracles._core_search(s, t, cap)]
                 expected = sorted(rows for rows in literal if sum(rows) <= cap)
                 assert sorted(found) == expected, (s, t, cap)
 
@@ -137,16 +136,17 @@ def test_callers_filter_what_the_search_yields(monkeypatch):
     # honest re-check leaves exactly the cores
     import corepaths.oracles as oracles
 
-    search = oracles._core_hook_sets
+    search = oracles._core_search
 
     def noisy(s, t, *cap):
-        for hooks in search(s, t, *cap):
-            yield hooks
-            top = hooks[-1] if hooks else 0
+        for p in search(s, t, *cap):
+            yield p
+            top = p.first_column_hooks()[0] if p.rows else 0
             for u in range(top + 1, top + s + t + 1):
-                p = oracles._partition_of(hooks + (u,))
-                if not (is_t_core_scan(p, s) and is_t_core_scan(p, t)):
-                    yield hooks + (u,)
+                # p's hook set plus u: one new top row of u - len(p) cells
+                q = Partition((u - len(p),) + p.rows)
+                if not (is_t_core_scan(q, s) and is_t_core_scan(q, t)):
+                    yield q
 
     cases = [(2, 3), (3, 4), (4, 5), (5, 7), (7, 5)]
     lams = {(s, t): largest_core(CoreParams(s, t)).rows for s, t in cases}
@@ -158,7 +158,7 @@ def test_callers_filter_what_the_search_yields(monkeypatch):
         )
         for s, t in cases
     }
-    monkeypatch.setattr(oracles, "_core_hook_sets", noisy)
+    monkeypatch.setattr(oracles, "_core_search", noisy)
     for s, t in cases:
         within, stats, sv = expected[s, t]
         assert cores_within(lams[s, t], s, t) == within
@@ -225,8 +225,8 @@ def test_listing_bound_at_its_edge(monkeypatch):
         searched.append((s, t))
         return iter(())
 
-    monkeypatch.setattr(oracles, "_sc_hook_sets", search)
-    monkeypatch.setattr(oracles, "_core_hook_sets", search)
+    monkeypatch.setattr(oracles, "_sc_search", search)
+    monkeypatch.setattr(oracles, "_core_search", search)
     assert brute_force_sc_cores(3, 4471) == []
     assert all_cores_size_stats(2, 6323) == (0, 0)
     for call, err in (
@@ -400,7 +400,7 @@ def test_sc_search_matches_the_capped_recursive_search():
         for s, t in ((a, b), (b, a)):
             caps = largest_core(CoreParams(s, t)).diagonal_hooks()
             assert caps[0] == s * t - s - t
-            found = [hooks[::-1] for hooks in oracles._sc_hook_sets(s, t)]
+            found = [p.diagonal_hooks() for p in oracles._sc_search(s, t)]
             assert len(found) == len(set(found)), (s, t)
             expected = [()]
             for e1 in range(1, s * t - s - t + 1, 2):
@@ -416,24 +416,56 @@ def test_sc_search_yields_only_cores_and_all_of_them():
     for a, b in coprime_pairs(15):
         for s, t in ((a, b), (b, a)):
             count = 0
-            for hooks in oracles._sc_hook_sets(s, t):
-                p = partition_from_diagonal_hooks(hooks)
-                assert is_t_core(p, s) and is_t_core(p, t), (s, t, hooks)
+            for p in oracles._sc_search(s, t):
+                assert p.is_self_conjugate(), (s, t, p)
+                assert is_t_core(p, s) and is_t_core(p, t), (s, t, p)
                 count += 1
             assert count == comb(s // 2 + t // 2, s // 2), (s, t)
 
 
+def test_sc_search_grows_the_rows_the_hook_builder_gives():
+    # the search grows each node's rows from its parent's, and the
+    # bijection builds them from the diagonal hooks: the two must agree
+    import corepaths.oracles as oracles
+
+    for a, b in coprime_pairs(15):
+        for s, t in ((a, b), (b, a)):
+            for p in oracles._sc_search(s, t):
+                assert p == partition_from_diagonal_hooks(p.diagonal_hooks()), (s, t, p)
+
+
 def test_sc_cores_search_deeper_than_the_recursion_limit():
-    # (3, 200) decides up to 198 hooks below the largest, one level each
+    # the deepest node of (3, 200), the largest core, has 67 diagonal
+    # hooks, one level each, past the 50 frames the limit leaves
+    import corepaths.oracles as oracles
+
     depth = len(inspect.stack(0))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 50)
     try:
         cores = brute_force_sc_cores(3, 200)
+        deepest = max(len(p.diagonal_hooks()) for p in oracles._sc_search(3, 200))
     finally:
         sys.setrecursionlimit(limit)
+    assert deepest == 67
     assert len(cores) == comb(1 + 100, 1)
     assert cores[-1] == largest_core(CoreParams(3, 200))
+
+
+def test_sc_cores_listing_shares_its_row_ints():
+    # 1001 cores of up to 1999 rows; a core's rows are its parent's plus
+    # one, read off one shared table, so the listing holds a pointer per
+    # row and not an int.  17.1 MiB when each core was built from its hooks
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        cores = brute_force_sc_cores(3, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cores) == 1001
+    assert peak < 10 * 2**20
 
 
 def test_all_cores_size_stats_matches_literal():
@@ -541,7 +573,7 @@ def test_all_cores_search_deeper_than_the_recursion_limit():
     sys.setrecursionlimit(depth + 50)
     try:
         count, total = all_cores_size_stats(s, t)
-        deepest = max(map(len, oracles._core_hook_sets(s, t)))
+        deepest = max(map(len, oracles._core_search(s, t)))
     finally:
         sys.setrecursionlimit(limit)
     assert deepest == L + 1

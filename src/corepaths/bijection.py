@@ -338,7 +338,13 @@ def path_from_core(p: Partition, params: CoreParams) -> LatticePath:
     return LatticePath(m, n, Partition(tuple(k for k in cuts if k)))
 
 
+def largest_hooks(params: CoreParams) -> list[int]:
+    """Diagonal hooks of the largest (s, t)-core, decreasing: the hook set
+    of the path hugging the left and top borders (mu empty), all positive
+    array entries."""
+    return sorted(_row_hooks(params, [0] * params.m), reverse=True)
+
+
 def largest_core(params: CoreParams) -> Partition:
-    """The largest (s, t)-core: image of the path hugging the left and top
-    borders (mu empty), whose hook set is all positive array entries."""
-    return core_from_path(LatticePath(params.m, params.n), params)
+    """The largest (s, t)-core: image of the empty path."""
+    return partition_from_diagonal_hooks(largest_hooks(params))

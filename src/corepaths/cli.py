@@ -35,10 +35,10 @@ from .bijection import (
     check_listing,
     core_from_path,
     describe_count,
-    largest_core,
+    largest_hooks,
     path_from_core,
 )
-from .partitions import Partition
+from .partitions import Partition, partition_from_diagonal_hooks
 
 
 def _dumps(obj) -> str:
@@ -59,10 +59,6 @@ def _each(view):
     return lambda items: "\n".join(map(view, items))
 
 
-def _partition(rows) -> Partition:
-    return Partition(tuple(rows))
-
-
 def _is_int_list(data) -> bool:
     # JSON true/false decode to bool, which is an int subclass: refuse them
     return isinstance(data, list) and all(
@@ -77,7 +73,7 @@ def _parse_partition(text: str) -> Partition:
         raise ValueError(f"partition must be a JSON array of integers: {exc}")
     if not _is_int_list(data):
         raise ValueError("partition must be a JSON array of integers")
-    return Partition(tuple(data))
+    return Partition(data)
 
 
 def _parse_path(text: str, m: int, n: int) -> LatticePath:
@@ -99,7 +95,7 @@ def _parse_path(text: str, m: int, n: int) -> LatticePath:
         mu = data["mu"]
         if not _is_int_list(mu):
             raise ValueError("path mu must be a JSON array of integers")
-        return LatticePath(m, n, Partition(tuple(mu)))
+        return LatticePath(m, n, Partition(mu))
     if text.startswith("["):
         return LatticePath(m, n, _parse_partition(text))
     return LatticePath.from_steps(text, m, n)
@@ -181,7 +177,7 @@ def _ferrers(core: Partition) -> str:
 
 
 def _map_text(p) -> str:
-    core = _partition(p["partition"])
+    core = Partition(p["partition"])
     lines = [f"path mu={p['mu']} steps={p['steps']}", f"partition {core} size={p['size']}",
              f"diagonal hooks {p['hooks']}"]
     s, t, m, n = p["s"], p["t"], p["m"], p["n"]
@@ -209,11 +205,8 @@ def _run_unmap(args):
 def _run_largest(args):
     params = CoreParams(args.s, args.t)
     check_listing(params)
-    # the largest core is the empty path's image: its hooks come from that
-    # path's cuts, all 0, as in _run_map, not from the core's diagonal, which
-    # reruns the O(rows) self-conjugacy test
-    hooks = sorted(_row_hooks(params, [0] * params.m), reverse=True)
-    core = largest_core(params)
+    hooks = largest_hooks(params)
+    core = partition_from_diagonal_hooks(hooks)
     return 0, {
         "s": args.s, "t": args.t, "partition": list(core.rows),
         "hooks": hooks, "size": core.size,
@@ -299,7 +292,7 @@ def _run_bruteforce(args):
 
 def _bruteforce_text(p) -> str:
     lines = [f"{p['kind']} ({p['s']},{p['t']})-cores: {p['count']}"]
-    lines.extend(str(_partition(rows)) for rows in p.get("partitions", ()))
+    lines.extend(str(Partition(rows)) for rows in p.get("partitions", ()))
     return "\n".join(lines)
 
 
@@ -319,7 +312,7 @@ COMMANDS = {
         "list every self-conjugate (s,t)-core", _PAIR, _run_enumerate,
         {"json": _each(_dumps),
          "csv": _each(lambda c: _csv(c["size"], _cells(c["partition"]), _cells(c["mu"]))),
-         "text": _each(lambda c: f"mu={c['mu']} -> {_partition(c['partition'])} size={c['size']}")},
+         "text": _each(lambda c: f"mu={c['mu']} -> {Partition(c['partition'])} size={c['size']}")},
         _PATH_BUDGET,
     ),
     "map": (
@@ -339,7 +332,7 @@ COMMANDS = {
         "the largest (s,t)-core", _PAIR, _run_largest,
         {"json": _dumps, "csv": lambda p: _csv(p["s"], p["t"], p["size"], _cells(p["partition"])),
          "text": lambda p: f"largest ({p['s']},{p['t']})-core, size {p['size']}:\n"
-                           f"{_ferrers(_partition(p['partition']))}"}, None,
+                           f"{_ferrers(Partition(p['partition']))}"}, None,
     ),
     "verify": (
         "run every identity check for one pair", _PAIR, _run_verify,

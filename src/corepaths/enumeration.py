@@ -6,15 +6,17 @@ Fractions throughout.  A core's size is the largest size minus the array
 entries above its path, and the rows of the above-partition weakly
 decrease, so the statistics come from a staircase fold: a DP over the value
 of each row, bottom row up, in O(mn) semiring steps (``_staircase_fold``).
-The path walk stays as its independent cross-check: it visits every path
-once in colexicographic order, keeping the above-sum up to date as each
-successor moves a few rows, and checks its path count against the binomial.
+The path walk stays as its independent cross-check: it recurses up the
+rows, visits every path once, and checks its path count against the
+binomial.  ``verify_pair`` works from numbers alone: the rows' closed forms,
+the below-count table's sums and the largest core's hooks, with no array,
+path or partition object built.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate
 
@@ -23,9 +25,8 @@ from .bijection import (
     CoreParams,
     LatticePath,
     _row_hooks,
-    build_array,
     check_budget,
-    largest_core,
+    largest_hooks,
 )
 from .partitions import Partition, Value, _set
 
@@ -101,31 +102,35 @@ def fold_path_sizes(s: int, t: int) -> CoreStats:
     """Fold exact size statistics over every path of the (s, t) box, one
     path at a time: the walk ``verify_pair`` checks the staircase fold by.
 
-    A path's above-sum is the sum of the array entries above it.  In the
-    order of ``iter_box_partitions`` the top row runs fastest, from the
-    second row's value to n, so a run of paths has above-sums
-    base + prefix_0[v], base being what the rows below hold.  Each step of
-    those rows bumps the first bumpable one and resets the rows before it
-    to the new value, and base follows those rows alone.
+    A path's above-sum is the sum of the array entries above it, each row
+    adding its prefix sum at its value.  The walk recurses up the rows
+    below the top row, each from the value of the row under it to n, and
+    folds the top row's run of paths one per value v, from the second
+    row's value to n: base plus the top row's prefix sum at v, base being
+    what the rows below hold.
 
-    A step resets up to m rows, so on a box taller than wide the walk runs
-    on the transposed table: the (t, s) array is the transpose of the
-    (s, t) array, and transposing a path's above-partition keeps its
+    The recursion is one level per row, so on a box taller than wide the
+    walk runs on the transposed table: the (t, s) array is the transpose of
+    the (s, t) array, and transposing a path's above-partition keeps its
     above-sum, so the statistics are the same.
     """
     params = CoreParams(s, t)
     if params.m > params.n:
         params = CoreParams(t, s)
-    m, n = params.m, params.n
+    n = params.n
     top = params.max_core_size
-    prefix = tuple(_prefix_rows(params))[::-1]  # top row first
-    first = prefix[0]
-    # mu[r] is the value of the row prefix[r] sums, for r >= 1; mu[0] = n
-    # caps the second row, as the top row runs up to n
-    mu = [n] + [0] * (m - 1)
-    base = lo = count = above_total = k = 0
+    *below, first = _prefix_rows(params)  # bottom row first, top row last
+    count = above_total = k = 0
     low = top + 1  # every above-sum is at most top, a size at least 0
-    while True:
+
+    def walk(r, lo, base):
+        # rows r and up run from lo; the rows below r add up to base
+        nonlocal count, above_total, low, k
+        if r < len(below):
+            row = below[r]
+            for v in range(lo, n + 1):
+                walk(r + 1, v, base + row[v])
+            return
         for a in first[lo:]:
             above = base + a
             above_total += above
@@ -134,15 +139,9 @@ def fold_path_sizes(s: int, t: int) -> CoreStats:
                     low, k = above, 0
                 k += 1
         count += n + 1 - lo
-        for i in range(1, m):
-            if mu[i] < mu[i - 1]:
-                lo = mu[i] + 1
-                for r in range(1, i + 1):
-                    base += prefix[r][lo] - prefix[r][mu[r]]
-                    mu[r] = lo
-                break
-        else:
-            break
+
+    walk(0, 0, 0)
+    del walk  # it refers to itself: free the rows now, not at the next collection
     assert count == params.path_count
     return CoreStats(count, top * count - above_total, top - low, k)
 
@@ -214,25 +213,26 @@ def enumerated_stats(
 
 def total_size_from_path_counts(s: int, t: int) -> int:
     """Total size of all self-conjugate (s, t)-cores via the below-count
-    table: the largest size times the path count, minus each array entry
+    table f: the largest size times the path count, minus each array entry
     weighted by how many paths it sits above.
 
-    It reads the entries of ``build_array``, not the closed-form rows the
-    folds use, so ``total_matches_path_counts`` also ties those rows to the
-    array the bijection maps paths through."""
-    from .identities import below_count_table
+    Entry (i, j) is (st + s + t) - 2t*i - 2s*j, so that weighted sum is
+    three sums of f, the ones the identity checks give closed forms for, and
+    ``total_matches_path_counts`` ties the closed-form rows the folds use to
+    the counting identities.  f is refused over 10**6 cells."""
+    from .identities import sum_below, sum_below_times_col, sum_below_times_row
 
     params = CoreParams(s, t)
-    arr = build_array(s, t)
     m, n = params.m, params.n
-    f = below_count_table(m, n)
-    above_total = sum(
-        v * c for row, counts in zip(arr.entries, f) for v, c in zip(row, counts)
+    return (
+        params.max_core_size * params.path_count
+        - (s * t + s + t) * sum_below(m, n)
+        + 2 * t * sum_below_times_row(m, n)
+        + 2 * s * sum_below_times_col(m, n)
     )
-    return params.max_core_size * params.path_count - above_total
 
 
-def _largest_excess(params: CoreParams, outer: tuple[int, ...]) -> int:
+def _largest_excess(params: CoreParams, outer: Sequence[int]) -> int:
     """The most by which a path image's diagonal hooks h overshoot
     ``outer`` (decreasing): the largest #{h >= x} - #{outer >= x} over
     every path of the box and every x, and 0 when there is none.  Every
@@ -248,23 +248,22 @@ def _largest_excess(params: CoreParams, outer: tuple[int, ...]) -> int:
     A path's hooks are the positive entries below it and the |negative|
     entries above it, so #{h >= x} is P(x), the positive entries >= x, plus
     the sum over the cells above the path of [v <= -x] - [v >= x].  Entries
-    fall along each row and down each column, so that weight never falls
-    along either, and each row's share of the sum is convex in its cut.  A
-    convex function on the staircase n >= mu_1 >= ... >= mu_m >= 0 (a
-    simplex) peaks at a corner: a path with its top r rows above it, or,
-    read by columns, with its left c columns above it.  So for every x at
-    once the largest excess over all C(m+n, m) paths is the largest over
-    the min(m, n) + 1 corners of the shorter side, whose hook sets are read
-    in O(min(m, n) * mn log mn) steps.
+    fall along each row, so that weight never falls along one, and each
+    row's share of the sum is convex in its cut.  A convex function on the
+    staircase n >= mu_1 >= ... >= mu_m >= 0 (a simplex) peaks at a corner:
+    a path with its top r rows above it.  The (t, s) array is the transpose
+    of the (s, t) array and has the same path hook sets, so the box is read
+    no taller than wide: for every x at once the largest excess over all
+    C(m+n, m) paths is the largest over min(m, n) + 1 corners, whose hook
+    sets are read in O(min(m, n) * mn log mn) steps.
     """
+    if params.m > params.n:
+        params = CoreParams(params.t, params.s)
     m, n = params.m, params.n
-    if m <= n:
-        corners = ((n,) * r + (0,) * (m - r) for r in range(m + 1))
-    else:
-        corners = ((c,) * m for c in range(n + 1))
     best = 0
-    for cuts in corners:
+    for r in range(m + 1):
         k = 0
+        cuts = (n,) * r + (0,) * (m - r)
         for i, h in enumerate(sorted(_row_hooks(params, cuts), reverse=True), 1):
             # i hooks of the corner's set are >= h, and k of outer's
             while k < len(outer) and outer[k] >= h:
@@ -291,8 +290,8 @@ def verify_pair(
     """
     params = CoreParams(s, t)
     expected = check_budget("path", params.path_count, budget)
-    # first, as it builds the array: a box over its cell cap is refused
-    # before the walk
+    # first, as it builds the below-count table: a box over its cell cap is
+    # refused before the walk
     path_counts_total = total_size_from_path_counts(s, t)
     stats = _staircase_sizes(s, t)
     walk = fold_path_sizes(s, t)
@@ -319,8 +318,7 @@ def verify_pair(
         [walk.count, walk.total_size, walk.max_size, walk.max_multiplicity],
     )
 
-    outer = largest_core(params).diagonal_hooks()
-    add("largest_core_contains_all", _largest_excess(params, outer), 0)
+    add("largest_core_contains_all", _largest_excess(params, largest_hooks(params)), 0)
 
     average = stats.average_size
     return {

@@ -521,6 +521,19 @@ def test_identities_refuses_one_cell_over_before_any_table(capsys, monkeypatch):
     assert run(capsys, "identities", "--m", "1001", "--n", "1000") == (2, "", err)
 
 
+def test_verify_refuses_one_cell_over_before_the_walk(capsys, monkeypatch):
+    # (3, 2000003) is within the path budget, but its below-count table is
+    # one cell over the cap
+    import corepaths.enumeration as enumeration
+
+    def walked(*args):
+        raise AssertionError("walked a box over the cell cap")
+
+    monkeypatch.setattr(enumeration, "fold_path_sizes", walked)
+    err = "error: m*n = 1000001 table cells is over the supported maximum of 10**6\n"
+    assert run(capsys, "verify", "--s", "3", "--t", "2000003") == (2, "", err)
+
+
 def test_remaining_format_branches(capsys):
     code, out, _ = run(capsys, "enumerate", "--s", "3", "--t", "4", "--format", "csv")
     assert code == 0

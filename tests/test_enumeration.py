@@ -124,7 +124,6 @@ def test_stats_never_build_the_array(monkeypatch):
         raise AssertionError("the stats route built an array")
 
     monkeypatch.setattr(bijection, "build_array", refuse)
-    monkeypatch.setattr(enumeration, "build_array", refuse)
     st = enumerated_stats(101, 103)
     assert (st.count, st.total_size, st.max_size, st.max_multiplicity) == (
         comb(101, 50),
@@ -386,7 +385,7 @@ def test_verify_pair_checks_containment_past_the_old_sweep_limit():
 
 
 def test_containment_reads_only_the_corner_paths(monkeypatch):
-    # the containment check reads min(m, n) + 1 hook sets, and largest_core
+    # the containment check reads min(m, n) + 1 hook sets, and largest_hooks
     # one more: no path of the box is enumerated for it
     from corepaths import bijection
 
@@ -406,6 +405,28 @@ def test_containment_reads_only_the_corner_paths(monkeypatch):
         assert len(calls) == min(params.m, params.n) + 2
 
 
+@pytest.mark.parametrize("s, t", [(16, 17), (17, 16), (3, 2003), (2003, 3)])
+def test_verify_pair_builds_no_array_path_or_partition(monkeypatch, s, t):
+    # every check of verify reads numbers: the rows' closed forms, the
+    # below-count table and the largest core's hooks
+    from corepaths import bijection, partitions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built an object it only reads numbers from")
+
+    for owner, name in [
+        (bijection, "build_array"),
+        (bijection, "partition_from_diagonal_hooks"),
+        (partitions, "partition_from_diagonal_hooks"),
+        (Partition, "is_self_conjugate"),
+        (Partition, "__init__"),
+        (bijection.LatticePath, "__init__"),
+        (bijection.CoreArray, "__init__"),
+    ]:
+        monkeypatch.setattr(owner, name, refuse)
+    assert report_all_pass(verify_pair(s, t))
+
+
 def test_containment_check_counts_what_contains_counts(monkeypatch):
     # stand every path image of (8, 11) in for the largest core: the
     # containment check must fail exactly when the literal containment of
@@ -413,7 +434,7 @@ def test_containment_check_counts_what_contains_counts(monkeypatch):
     params = CoreParams(8, 11)
     images = [core_from_path(path, params) for path in iter_paths(params.m, params.n)]
     for small in images:
-        monkeypatch.setattr(enumeration, "largest_core", lambda params: small)
+        monkeypatch.setattr(enumeration, "largest_hooks", lambda params: small.diagonal_hooks())
         (check,) = [
             c
             for c in verify_pair(8, 11)["checks"]

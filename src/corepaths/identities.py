@@ -47,16 +47,20 @@ def below_count_table(m: int, n: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"box dimensions must be positive, got {m}x{n}")
     if m * n > _MAX_CELLS:
         raise ValueError(f"m*n = {m * n} table cells is over the supported maximum of 10**6")
-    paths = path_prefix_table(n, m)
+    # cell (i, j) of the box is cell (j, i) of the transposed box, so the
+    # table is built for the a x b box, a <= b, and transposed when tall:
+    # paths[x][y] = C(x+y, x) has a + 1 rows, and cell (i, j) adds the
+    # prefix count paths[a-i][j-1] times the suffix count paths[i][b-j]
+    a, b = min(m, n), max(m, n)
+    paths = path_prefix_table(a, b)
     rows = []
-    below = [0] * n
-    for i in range(m, 0, -1):
-        h = m - i
-        below = [
-            b + paths[j - 1][h] * paths[n - j][i] for j, b in enumerate(below, start=1)
-        ]
+    below = [0] * b
+    for i in range(a, 0, -1):
+        below = [c + x * y for c, x, y in zip(below, paths[a - i], paths[i][b - 1 :: -1])]
         rows.append(tuple(below))
-    return tuple(reversed(rows))
+    rows.reverse()
+    del paths, below  # freed before a tall box's rows are transposed
+    return tuple(rows) if m <= n else tuple(zip(*rows))
 
 
 def sum_below(m: int, n: int) -> int:

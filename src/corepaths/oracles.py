@@ -1,25 +1,24 @@
 """Brute-force oracles, independent of the path bijection.
 
 Two searches, each cross-checked in the tests against the literal sweeps
-of ``tests/_reference.py``, which materialise every partition up to a size
-bound and test it cell-honestly:
+of ``tests/_reference.py``, which test every partition up to a size bound
+cell-honestly:
 
-* ``cores_within``, ``all_cores_size_stats`` and ``survey_partitions``:
-  (s, t)-cores are grown through their first-column hook sets, one member
-  at a time in increasing order, from the empty set, capped by size;
-* ``brute_force_sc_cores``: self-conjugate cores are grown the same way
-  through their diagonal hook sets.
+* ``cores_within``, ``all_cores_size_stats`` and ``survey_partitions``
+  grow (s, t)-cores through their first-column hook sets, one member at a
+  time in increasing order, from the empty set, capped by size;
+* ``brute_force_sc_cores`` grows self-conjugate cores the same way through
+  their diagonal hook sets.
 
-In both searches the core condition, read off the hook definition, only
-relates each new largest hook to smaller ones, so every set the search
-reaches is a core and it never backtracks out of a dead end.  Each node's
-partition is grown from its parent's in one step (one new top row, or one
-new first row and column), so neither search rebuilds rows from a hook
-set, and none shares a row builder with the bijection.  The searches
-only ever skip sets that break the core condition, and every emitted
-partition is validated and filtered through the honest hook test again, so
-a wrong rule can drop results but never admit wrong ones; the set-equality
-tests against the literal sweeps guard the rest.
+In both, the core condition read off the hook definition relates each new
+largest hook only to smaller ones, so every set reached is a core and
+there are no dead ends.  A node's children are the bits of one int: the
+hook set's bit masks shifted by s and by t, in the window of next hooks.
+A node's partition grows from its parent's in one step (one new top row,
+or one new first row and column), by no row builder of the bijection.
+Every emitted partition is validated and filtered through the honest hook
+test again, so a wrong rule can drop results but never admit wrong ones;
+the set-equality tests against the literal sweeps guard the rest.
 """
 
 from __future__ import annotations
@@ -38,12 +37,15 @@ from .partitions import Partition, Value, _set
 
 
 def _is_core(p: Partition, s: int, t: int) -> bool:
-    """True when no cell of ``p`` has hook length s or t: the honest test of
-    ``is_t_core`` for both hooks, on one first-column hook set."""
-    hooks = set(p.first_column_hooks())
-    below_s = [b - s for b in hooks if b >= s]
-    below_t = [b - t for b in hooks if b >= t]
-    return hooks.issuperset(below_s) and hooks.issuperset(below_t)
+    """True when no cell of ``p`` has hook length s or t: ``is_t_core`` for
+    both hooks, reading the first-column hooks b as bytes b of one int,
+    shifted down by bytes s and t: each b - h >= 0 must be a hook (never 0)."""
+    hooks = p.first_column_hooks()
+    flags = bytearray(hooks[0] + 1 if hooks else 1)
+    for b in hooks:
+        flags[b] = 1
+    beta = int.from_bytes(flags, "little")
+    return not (beta >> 8 * s | beta >> 8 * t) & ~beta
 
 
 def _core_search(s: int, t: int, max_size: float = inf) -> Iterator[Partition]:
@@ -51,50 +53,49 @@ def _core_search(s: int, t: int, max_size: float = inf) -> Iterator[Partition]:
     search over their first-column hook sets from the empty set, whose
     partition is yielded first.
 
-    The rule comes from the hook definition alone.  A partition with k rows
-    has the first-column hook set beta = {rows[i] + k - i : 1 <= i <= k};
-    padding the rows by zeros adds -1, -2, ... and never 0.  A cell of hook
-    length h pairs some x in that padded set with x - h outside it, so the
-    partition is an h-core exactly when h is not in beta and every u in
-    beta with u > h has u - h in beta.
+    A partition with k rows has the first-column hook set beta = {rows[i] +
+    k - i : 1 <= i <= k}; padding the rows by zeros adds -1, -2, ... and
+    never 0.  A cell of hook length h pairs some x in that padded set with
+    x - h outside it, so the partition is an h-core exactly when every
+    member u > 0 of the padded set has u - h in it.
 
     Checked when u is the largest member, the rule names only members below
-    it, so beta without its largest member obeys it too and the valid sets
-    form a tree rooted at the empty set, with no dead ends.  The children of
-    beta add one u above max beta, no higher than max beta + min(s, t)
-    (above that u - min(s, t) would have to be in beta) and no higher than
-    the Frobenius number st - s - t, which no hook of an (s, t)-core
-    exceeds.  Adding u to k members adds one new top row u - k >= 1 above
-    the parent's rows, so the size cap bounds u directly, and each node's
-    rows are its parent's with that row in front.
+    it, so the valid sets form a tree rooted at the empty set, with no dead
+    ends.  A child adds one u above max beta, at most max beta + min(s, t)
+    (else u - min(s, t) is missing), the Frobenius number st - s - t (no
+    core hook is larger) and the size cap (u adds a top row of u - k cells
+    to k rows).  The padded set is one int, bit x + max(s, t) for member
+    x, so the children are the bits of that window in both shifts of the
+    int down by max beta - h + max(s, t); each level keeps its u and its
+    children left, at most min(s, t) bits, taken lowest first.
     """
     top = s * t - s - t
     step = min(s, t)
-    member = bytearray(top + 1)
+    pad = max(s, t)
+    # beta padded by -1, ..., -pad: bit x + pad for each member x
+    padded = (1 << pad) - 1
     # the rows bottom-up, one per member: member k (0-based) is rows[k] + k
     rows: list[int] = []
-    size = 0
-    # per level, the candidates still to try for the next member
-    levels = [iter(range(1, min(step, top, max_size) + 1))]
+    size = u = 0
+    # per ancestor, its largest member and its children still to visit
+    levels = []
     yield Partition()
-    while levels:
-        for u in levels[-1]:
-            if (member[u - s] if u > s else u != s) and (
-                member[u - t] if u > t else u != t
-            ):
-                member[u] = 1
-                rows.append(u - len(rows))
-                size += rows[-1]
-                hi = min(u + step, top, max_size - size + len(rows))
-                levels.append(iter(range(u + 1, hi + 1)))
-                yield Partition(rows[::-1])
-                break
-        else:
-            levels.pop()
-            if rows:
-                r = rows.pop()
-                member[r + len(rows)] = 0
-                size -= r
+    while True:
+        w = min(step, top - u, max_size - size + len(rows) - u)
+        kids = w > 0 and padded >> u - s + pad & padded >> u - t + pad & (2 << w) - 2
+        while not kids:
+            if not levels:
+                return
+            padded ^= 1 << u + pad
+            size -= rows.pop()
+            u, kids = levels.pop()
+        low = kids & -kids
+        levels.append((u, kids ^ low))
+        u += low.bit_length() - 1
+        padded |= 1 << u + pad
+        rows.append(u - len(rows))
+        size += rows[-1]
+        yield Partition(rows[::-1])
 
 
 def cores_within(shape: tuple[int, ...], s: int, t: int) -> list[tuple[int, ...]]:
@@ -130,24 +131,23 @@ def _sc_search(s: int, t: int) -> Iterator[Partition]:
     their diagonal hook sets from the empty set, whose partition is
     yielded first.
 
-    The rule comes from the hook definition alone.  A partition's doubled
-    Maya diagram S = {2 rows[i] - 2i + 1 : i >= 1} (rows padded by zeros) is
-    a set of odd integers, and a cell of hook length h pairs some x in S
-    with x - 2h outside S, so the partition is an h-core exactly when S is
-    closed under -2h.  It is self-conjugate exactly when each odd u > 0 has
-    exactly one of u and -u in S; the positive members of S are its
-    diagonal hooks D.  For h in {s, t}, closure then reads: if u is in D
-    and u > 2h, then u - 2h is in D; if u is in D and u < 2h, then 2h - u
-    is not in D (so u != h).
+    A partition's doubled Maya diagram S = {2 rows[i] - 2i + 1 : i >= 1}
+    (rows padded by zeros) is a set of odd integers, and a cell of hook
+    length h pairs some x in S with x - 2h outside S, so the partition is
+    an h-core exactly when S is closed under -2h.  It is self-conjugate
+    exactly when each odd u > 0 has exactly one of u and -u in S; the
+    positive members of S are its diagonal hooks D.  For h in {s, t},
+    closure then reads: if u is in D and u > 2h, then u - 2h is in D; if u
+    is in D and u < 2h, then 2h - u is not in D (so u != h).
 
     Checked when u is the largest member, each rule names only members
-    below it, so D without its largest member obeys them too and the
-    valid sets form a tree rooted at the empty set.  The children of D add
-    one odd u above max D, no higher than max D + 2 min(s, t) (above that
-    u - 2 min(s, t) would have to be in D) and no higher than the
-    Frobenius number st - s - t, which no hook of an (s, t)-core exceeds.
-    Every node is a core, so there are no dead ends and nothing to undo
-    but a membership bytearray and the stack of ancestors.
+    below it, so the valid sets form a tree rooted at the empty set, with
+    no dead ends.  A child adds one odd u above max D, at most max D +
+    2 min(s, t) (else u - 2 min(s, t) is missing) and st - s - t.  Per hook
+    h one int holds the u that rule h admits, D shifted up by 2h and the
+    odd u < 2h but h whose mirror 2h - u is not in D, so pushing or popping
+    d flips bits d + 2h and 2h - d; the children are the bits of that
+    window in both ints shifted down by max D, kept as in ``_core_search``.
 
     A new largest hook u = 2a + 1 wraps the parent's diagram in one more
     first row and column of a + 1 cells each, which fit as the parent's
@@ -156,35 +156,35 @@ def _sc_search(s: int, t: int) -> Iterator[Partition]:
     """
     top = s * t - s - t
     step = 2 * min(s, t)
-    member = bytearray(max(top, 2 * s, 2 * t) + 1)
+    # 1 << 2h, so that d flips (1 << 2h << d) | (1 << 2h >> d) in rule h
+    flip_s, flip_t = 1 << 2 * s, 1 << 2 * t
+    # the odd bits below 2h, bar h: what rule h admits while D is empty
+    ok_s = flip_s // 3 * 2 & ~(1 << s)
+    ok_t = flip_t // 3 * 2 & ~(1 << t)
     # row r + 1 as one shared int object, for r up to the largest core's
     # first row (s-1)(t-1)/2, so the listed cores' rows share their ints
     plus_one = list(range(1, (s - 1) * (t - 1) // 2 + 2)).__getitem__
-    # the ancestors of the next node, root first: the partitions yielded
-    ancestors = [Partition()]
-    # per level, the candidates still to try for the next member
-    levels = [iter(range(1, min(step, top) + 1, 2))]
-    yield ancestors[0]
-    while levels:
-        for u in levels[-1]:
-            member[u] = 1  # tried as a member, so u = h breaks the second rule
-            ds, dt = u - 2 * s, u - 2 * t
-            if (member[ds] if ds > 0 else not member[-ds]) and (
-                member[dt] if dt > 0 else not member[-dt]
-            ):
-                a = u >> 1
-                rows = ancestors[-1].rows
-                p = Partition([plus_one(a), *map(plus_one, rows), *(1,) * (a - len(rows))])
-                ancestors.append(p)
-                levels.append(iter(range(u + 2, min(u + step, top) + 1, 2)))
-                yield p
-                break
-            member[u] = 0
-        else:
-            levels.pop()
-            rows = ancestors.pop().rows
-            if rows:
-                member[2 * rows[0] - 1] = 0  # the largest hook of a self-conjugate partition
+    # per ancestor: its largest hook, its children left and its partition
+    levels = []
+    u, p = 0, Partition()
+    yield p
+    while True:
+        w = min(step, top - u)
+        kids = w > 0 and ok_s >> u & ok_t >> u & (2 << w) - 2
+        while not kids:
+            if not levels:
+                return
+            ok_s ^= flip_s << u | flip_s >> u
+            ok_t ^= flip_t << u | flip_t >> u
+            u, kids, p = levels.pop()
+        low = kids & -kids
+        levels.append((u, kids ^ low, p))
+        u += low.bit_length() - 1
+        ok_s ^= flip_s << u | flip_s >> u
+        ok_t ^= flip_t << u | flip_t >> u
+        a = u >> 1
+        p = Partition([plus_one(a), *map(plus_one, p.rows), *(1,) * (a - len(p))])
+        yield p
 
 
 def brute_force_sc_cores(

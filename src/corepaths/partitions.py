@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from operator import add, ge, index, le
+from operator import add, index, le
 
 # sets a field of a Value in its __init__, past the refusing __setattr__
 _set = object.__setattr__
@@ -78,7 +78,7 @@ class Partition(Value):
         except TypeError:
             raise ValueError(f"row lengths must be integers, got {rows!r}")
         _set(self, "rows", rows)
-        if not rows or (rows[-1] >= 1 and all(map(ge, rows, rows[1:]))):
+        if not rows or (rows[-1] >= 1 and list(rows) == sorted(rows, reverse=True)):
             return
         # invalid: find the first offending row, for the error message
         for i, r in enumerate(rows):

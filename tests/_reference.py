@@ -5,13 +5,14 @@ cell-by-cell hook lengths and the all-cells t-core scan, two independent
 characterisations (t-core-ness from diagonal hooks, core size from the
 array entries above a path), a path's hook set read off the built array by
 its definition, the closed-form average size, the containment sweep
-over every path's hook set, and a path's step word read column by column.
+over every path's hook set, a path's step word read column by column, and
+the two oracle searches trying each candidate hook in turn.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 from typing import Iterable, Iterator
 
 from corepaths.bijection import CoreArray, CoreParams, LatticePath, build_array
@@ -245,3 +246,75 @@ def path_from_steps_by_columns(word: str, m: int, n: int) -> LatticePath:
             cols.append(m - height)
     mu_rows = [sum(1 for c in cols if c >= i) for i in range(1, m + 1)]
     return LatticePath(m, n, Partition(tuple(r for r in mu_rows if r > 0)))
+
+
+def core_search_by_candidates(s: int, t: int, max_size: float = inf) -> Iterator[Partition]:
+    """``oracles._core_search`` trying each candidate hook u above max beta
+    in increasing order, against a membership bytearray: u joins when, for
+    h in {s, t}, u - h is a member (u > h) or u < h.  The same tree in the
+    same preorder."""
+    top = s * t - s - t
+    step = min(s, t)
+    member = bytearray(top + 1)
+    # the rows bottom-up, one per member: member k (0-based) is rows[k] + k
+    rows: list[int] = []
+    size = 0
+    # per level, the candidates still to try for the next member
+    levels = [iter(range(1, min(step, top, max_size) + 1))]
+    yield Partition()
+    while levels:
+        for u in levels[-1]:
+            if (member[u - s] if u > s else u != s) and (
+                member[u - t] if u > t else u != t
+            ):
+                member[u] = 1
+                rows.append(u - len(rows))
+                size += rows[-1]
+                hi = min(u + step, top, max_size - size + len(rows))
+                levels.append(iter(range(u + 1, hi + 1)))
+                yield Partition(rows[::-1])
+                break
+        else:
+            levels.pop()
+            if rows:
+                r = rows.pop()
+                member[r + len(rows)] = 0
+                size -= r
+
+
+def sc_search_by_candidates(s: int, t: int) -> Iterator[Partition]:
+    """``oracles._sc_search`` trying each odd candidate hook u above max D
+    in increasing order, against a membership bytearray: u joins when, for
+    h in {s, t}, u - 2h is a member (u > 2h) or 2h - u is not, u counted
+    (u < 2h).  The same tree in the same preorder."""
+    top = s * t - s - t
+    step = 2 * min(s, t)
+    member = bytearray(max(top, 2 * s, 2 * t) + 1)
+    # row r + 1 as one shared int object, for r up to the largest core's
+    # first row (s-1)(t-1)/2, so the listed cores' rows share their ints
+    plus_one = list(range(1, (s - 1) * (t - 1) // 2 + 2)).__getitem__
+    # the ancestors of the next node, root first: the partitions yielded
+    ancestors = [Partition()]
+    # per level, the candidates still to try for the next member
+    levels = [iter(range(1, min(step, top) + 1, 2))]
+    yield ancestors[0]
+    while levels:
+        for u in levels[-1]:
+            member[u] = 1  # tried as a member, so u = h breaks the second rule
+            ds, dt = u - 2 * s, u - 2 * t
+            if (member[ds] if ds > 0 else not member[-ds]) and (
+                member[dt] if dt > 0 else not member[-dt]
+            ):
+                a = u >> 1
+                rows = ancestors[-1].rows
+                p = Partition([plus_one(a), *map(plus_one, rows), *(1,) * (a - len(rows))])
+                ancestors.append(p)
+                levels.append(iter(range(u + 2, min(u + step, top) + 1, 2)))
+                yield p
+                break
+            member[u] = 0
+        else:
+            levels.pop()
+            rows = ancestors.pop().rows
+            if rows:
+                member[2 * rows[0] - 1] = 0  # the largest hook of a self-conjugate partition

@@ -67,6 +67,25 @@ def test_table_matches_enumeration_small():
             assert below_count_table(m, n) == below_count_table_by_enumeration(m, n)
 
 
+def test_table_builds_its_prefix_counts_along_the_long_side(monkeypatch):
+    # a 1 x 1000 box and its transpose read one 2 x 1001 prefix table, not
+    # 1001 lists of two
+    import corepaths.identities as identities
+
+    calls = []
+    build = identities.path_prefix_table
+
+    def spy(a, b):
+        calls.append((a, b))
+        return build(a, b)
+
+    monkeypatch.setattr(identities, "path_prefix_table", spy)
+    below_count_table.cache_clear()
+    for m, n in ((1, 1000), (3, 7)):
+        assert below_count_table(n, m) == tuple(zip(*below_count_table(m, n)))
+    assert calls == [(1, 1000)] * 2 + [(3, 7)] * 2
+
+
 def _reference_below_count_table(m, n):
     # the height sum: the paths below cell (i, j) cross the strip of column
     # j at some height h <= m - i, a prefix to (j-1, h) and a suffix from (j, h)

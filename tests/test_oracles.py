@@ -1,6 +1,6 @@
 import inspect
 import sys
-from math import comb
+from math import comb, inf
 
 import pytest
 
@@ -19,7 +19,14 @@ from corepaths import (
 from corepaths.enumeration import coprime_pairs
 from corepaths.partitions import is_t_core, partition_from_diagonal_hooks
 
-from _reference import is_t_core_scan, iter_partitions, iter_partitions_up_to, iter_subpartitions
+from _reference import (
+    core_search_by_candidates,
+    is_t_core_scan,
+    iter_partitions,
+    iter_partitions_up_to,
+    iter_subpartitions,
+    sc_search_by_candidates,
+)
 
 
 def _reference_partitions(n, cap=None):
@@ -174,12 +181,40 @@ def test_callers_filter_what_the_search_yields(monkeypatch):
 
 
 def test_two_hook_filter_is_the_literal_test_for_both_hooks():
-    from corepaths.oracles import _is_core
+    from corepaths.oracles import _core_search, _is_core, _sc_search
 
     partitions = [Partition(rows) for rows in iter_partitions_up_to(14)]
     for s, t in [(2, 3), (3, 4), (4, 7), (5, 6), (7, 5), (3, 11)]:
         for p in partitions:
             assert _is_core(p, s, t) == (is_t_core_scan(p, s) and is_t_core_scan(p, t)), (p, s, t)
+    # hooks up to 397 and 299, so the byte-mask ints span dozens of machine
+    # words; each node's first row stretched by one is mostly not a core
+    answers = set()
+    for s, t, search in ((3, 200, _sc_search(3, 200)), (2, 301, _core_search(2, 301))):
+        for p in search:
+            stretched = Partition((p.rows[0] + 1,) + p.rows[1:] if p.rows else (1,))
+            for q in (p, stretched):
+                expected = is_t_core_scan(q, s) and is_t_core_scan(q, t)
+                assert _is_core(q, s, t) == expected, (s, t, q)
+                answers.add(expected)
+    assert answers == {True, False}
+
+
+def test_mask_searches_yield_the_candidate_searches_rows_in_order():
+    # the mask searches walk the same tree in the same preorder as the
+    # candidate loops: the identical sequence of rows, not just the same
+    # set.  Uncapped only up to 11, as the (s, t)-cores of every coprime
+    # pair up to 15 number 11.6 million
+    import corepaths.oracles as oracles
+
+    for a, b in coprime_pairs(15):
+        for s, t in ((a, b), (b, a)):
+            expected = [p.rows for p in sc_search_by_candidates(s, t)]
+            assert [p.rows for p in oracles._sc_search(s, t)] == expected, (s, t)
+            for cap in (0, 5, 17, inf) if b <= 11 else (0, 5, 17):
+                expected = [p.rows for p in core_search_by_candidates(s, t, cap)]
+                found = [p.rows for p in oracles._core_search(s, t, cap)]
+                assert found == expected, (s, t, cap)
 
 
 def test_anderson_counts():

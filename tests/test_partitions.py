@@ -41,6 +41,8 @@ def test_construction_reports_the_first_bad_row():
         Partition((2, 3, 0))
     with pytest.raises(ValueError, match="positive, got 0"):
         Partition((3, 0, 1))
+    with pytest.raises(ValueError, match="row lengths must be positive, got 0"):
+        Partition((2, 0))
     with pytest.raises(ValueError, match="positive, got -2"):
         Partition((-2, -3))
 

@@ -8,8 +8,12 @@ the upper-right corner, and a path is canonically stored as the partition mu
 of cells lying ABOVE it (toward the top-left).  Cell (i, j) is above the
 path exactly when j <= mu_i.
 
-Everything here is a pure function over immutable values.  CoreParams counts
-the work each budgeted job does, for the one ``check_budget``.
+Everything here is a pure function over immutable values.  A CoreParams
+keeps one private row table, built on first use and never changed: the
+rows' first entries, their positive counts and t^-1 mod s, which every
+round trip through its pair reads instead of working them out again.
+CoreParams also counts the work each budgeted job does, for the one
+``check_budget``.
 """
 
 from __future__ import annotations
@@ -96,9 +100,13 @@ def check_listing(params: CoreParams, cores: int = 1) -> None:
 
 
 class CoreParams(Value):
-    """A coprime pair (s, t) with the derived box dimensions m, n."""
+    """A coprime pair (s, t) with the derived box dimensions m, n.
 
-    __slots__ = ("s", "t")
+    ``_rows`` caches the row table of ``_row_table``; as a private slot it
+    is no field, so it takes no part in equality, hash, repr or pickling.
+    """
+
+    __slots__ = ("s", "t", "_rows")
 
     def __init__(self, s: int, t: int):
         if s < 2 or t < 2:
@@ -118,6 +126,24 @@ class CoreParams(Value):
     @property
     def n(self) -> int:
         return self.t // 2
+
+    def _row_table(self) -> tuple[range, tuple[int, ...], int]:
+        """Each row's first entry st - s - (2i-1)t, top row first; each
+        row's positive count ceil(e/2s) for that first entry e; and
+        t^-1 mod s.  Built on the first call and kept: O(m) ints, held only
+        as long as these params.  Threads racing to build it build equal
+        tables, so either one's may stay."""
+        try:
+            return self._rows
+        except AttributeError:
+            pass
+        s, t = self.s, self.t
+        s2 = 2 * s
+        a11 = s * t - s - t
+        firsts = range(a11, a11 - (s // 2) * 2 * t, -2 * t)
+        table = firsts, tuple([(e + s2 - 1) // s2 for e in firsts]), pow(t, -1, s)
+        _set(self, "_rows", table)
+        return table
 
     @property
     def path_count(self) -> int:
@@ -213,7 +239,7 @@ class LatticePath(Value):
     def __init__(self, m: int, n: int, mu: Partition = Partition()):
         if m < 1 or n < 1:
             raise ValueError(f"box dimensions must be positive, got {m}x{n}")
-        if len(mu) > m or (mu.rows and mu.rows[0] > n):
+        if len(mu.rows) > m or (mu.rows and mu.rows[0] > n):
             raise ValueError(f"mu = {mu} does not fit in a {m}x{n} box")
         _set(self, "m", m)
         _set(self, "n", n)
@@ -256,32 +282,33 @@ class LatticePath(Value):
 
 def _row_hooks(params: CoreParams, cuts) -> list[int]:
     """Diagonal hooks of the path with cuts[i] cells above it in row i + 1,
-    unsorted, from the arithmetic of the array alone.
+    unsorted, from the arithmetic of the array alone; ``cuts`` has one
+    entry per row.
 
     Row i runs e, e - 2s, ..., with e = st - s - (2i-1)t, falling from
     positive to negative, so its first p = ceil(e/2s) entries are its
-    positives; t - s <= e <= st - s - t puts p in [0, n] unclamped.  Cut at
-    k, the row carries its positives from k on, or the |negatives| left of
-    k: one progression of step 2s either way.
+    positives; t - s <= e <= st - s - t puts p in [0, n] unclamped.  Both e
+    and p come from the params' row table.  Cut at k, the row carries its
+    positives from k on, or the |negatives| left of k: one progression of
+    step 2s either way.
     """
-    s, t = params.s, params.t
-    s2, t2 = 2 * s, 2 * t
+    s2 = 2 * params.s
+    firsts, positives, _ = params._row_table()
     hooks = []
-    e = s * t - s - t
-    for k in cuts:
-        p = (e + s2 - 1) // s2
+    for k, e, p in zip(cuts, firsts, positives, strict=True):
         hooks += range(e - s2 * k, e - s2 * p, -s2) if k < p else range(s2 * p - e, s2 * k - e, s2)
-        e -= t2
     return hooks
 
 
 def _path_cuts(path: LatticePath, params: CoreParams) -> tuple[int, ...]:
     """The cells above ``path`` in each of the m rows of the (s, t) box."""
-    if (path.m, path.n) != (params.m, params.n):
+    m = params.s // 2
+    if path.m != m or path.n != params.t // 2:
         raise ValueError(
             f"path box {path.m}x{path.n} does not match array {params.m}x{params.n}"
         )
-    return path.mu.rows + (0,) * (params.m - len(path.mu))
+    rows = path.mu.rows
+    return rows + (0,) * (m - len(rows))
 
 
 def path_hook_set(path: LatticePath, arr: CoreArray) -> tuple[int, ...]:
@@ -306,11 +333,12 @@ def path_from_core(p: Partition, params: CoreParams) -> LatticePath:
     s - r or r for r = h * t^-1 mod s, and then y is q or t - q for
     q = (rt - h)/s < t.  With q > 0 both lie in (0, t), and an odd x < s
     and y < t are inside the box.
-    A row's cut starts at its positive count and moves past each hook: down
-    at a positive entry, up at a negative one, so it stays in [0, n].  The
-    array's absolute values are pairwise distinct, so ``p`` is in the image
-    exactly when every hook is placed and the cuts weakly decrease and carry
-    ``p``'s hook set.
+    A row's cut starts at its positive count, read with t^-1 from the
+    params' row table, and moves past each hook: down at a positive entry,
+    up at a negative one, so it stays in [0, n].  The array's absolute
+    values are pairwise distinct, so ``p`` is in the image exactly when
+    every hook is placed and the cuts weakly decrease and carry ``p``'s
+    hook set.
     """
     try:
         hooks = p.diagonal_hooks()
@@ -318,11 +346,9 @@ def path_from_core(p: Partition, params: CoreParams) -> LatticePath:
         raise ValueError(
             f"not in the bijection image: {p} is not self-conjugate"
         ) from None
-    s, t, m, n = params.s, params.t, params.m, params.n
-    s2, a11 = 2 * s, s * t - s - t
-    # each row's positives, as in _row_hooks
-    cuts = [(e + s2 - 1) // s2 for e in range(a11, a11 - 2 * m * t, -2 * t)]
-    t_inv = pow(t, -1, s)
+    s, t = params.s, params.t
+    _, positives, t_inv = params._row_table()
+    cuts = list(positives)
     for h in hooks:
         r = h * t_inv % s
         q = (r * t - h) // s  # exact, as rt = h (mod s)
@@ -335,7 +361,7 @@ def path_from_core(p: Partition, params: CoreParams) -> LatticePath:
     placed = sorted(_row_hooks(params, cuts), reverse=True)
     if cuts != sorted(cuts, reverse=True) or placed != list(hooks):
         raise ValueError(f"not in the bijection image: {p}")
-    return LatticePath(m, n, Partition(tuple(k for k in cuts if k)))
+    return LatticePath(s // 2, t // 2, Partition(tuple(filter(None, cuts))))
 
 
 def largest_hooks(params: CoreParams) -> list[int]:

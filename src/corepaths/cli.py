@@ -130,11 +130,10 @@ def _run_stats(args):
 
     params = CoreParams(args.s, args.t)
     stats = enumerated_stats(args.s, args.t, budget=_budget(args, "cell", params.cell_count))
-    avg = stats.average_size
     return 0, {
         "s": args.s, "t": args.t, "m": params.m, "n": params.n,
         "count": stats.count, "total": stats.total_size,
-        "average": {"num": avg.numerator, "den": avg.denominator}, "max": stats.max_size,
+        "average": stats._average_terms(), "max": stats.max_size,
     }
 
 

@@ -1,12 +1,13 @@
 """Exact statistics of self-conjugate (s, t)-cores through their lattice
 paths, with the identity checks tying them to the closed formulas.
 
-Counts, totals and averages are arbitrary-precision Python ints and
-Fractions throughout.  A core's size is the largest size minus the array
-entries above its path, and the rows of the above-partition weakly
-decrease, so the statistics come from a staircase fold: a DP over the value
-of each row, bottom row up, in O(mn) semiring steps (``_staircase_fold``).
-The path walk stays as its independent cross-check: it recurses up the
+Counts and totals are arbitrary-precision Python ints throughout; an
+average is a Fraction (``CoreStats.average_size``), and the reports carry
+it as num/den in lowest terms, without importing fractions.  A core's size
+is the largest size minus the array entries above its path, and the rows
+of the above-partition weakly decrease, so the statistics come from a
+staircase fold: a DP over the value of each row, bottom row up, in O(mn)
+semiring steps (``_staircase_fold``).  The path walk stays as its independent cross-check: it recurses up the
 rows, visits every path once, and checks its path count against the
 binomial.  ``verify_pair`` works from numbers alone: the rows' closed forms,
 the below-count table's sums and the largest core's hooks, with no array,
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 from itertools import accumulate
 
 from .bijection import (
@@ -47,7 +47,15 @@ class CoreStats(Value):
 
     @property
     def average_size(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.total_size, self.count)
+
+    def _average_terms(self) -> dict:
+        """The average as {"num", "den"} in lowest terms, without importing
+        fractions: what the stats and verify reports carry."""
+        g = math.gcd(self.total_size, self.count)
+        return {"num": self.total_size // g, "den": self.count // g}
 
 
 def iter_box_partitions(m: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -104,10 +112,12 @@ def fold_path_sizes(s: int, t: int) -> CoreStats:
 
     A path's above-sum is the sum of the array entries above it, each row
     adding its prefix sum at its value.  The walk recurses up the rows
-    below the top row, each from the value of the row under it to n, and
-    folds the top row's run of paths one per value v, from the second
-    row's value to n: base plus the top row's prefix sum at v, base being
-    what the rows below hold.
+    below the top two, each from the value of the row under it to n, and
+    ends in a two-row leaf: for each value w of the second row, from the
+    third row's value to n, it folds the top row's run of paths one per
+    value v from w to n, base plus the second row's prefix sum at w plus
+    the top row's at v, base being what the rows below hold.  A one-row box
+    folds its top row once, over a second row held at 0.
 
     The recursion is one level per row, so on a box taller than wide the
     walk runs on the transposed table: the (t, s) array is the transpose of
@@ -120,25 +130,30 @@ def fold_path_sizes(s: int, t: int) -> CoreStats:
     n = params.n
     top = params.max_core_size
     *below, first = _prefix_rows(params)  # bottom row first, top row last
+    # a one-row box has a second row held at 0, with that one value
+    *below, second = below or [(0,)]
+    depth, stop = len(below), len(second)
     count = above_total = k = 0
     low = top + 1  # every above-sum is at most top, a size at least 0
 
     def walk(r, lo, base):
         # rows r and up run from lo; the rows below r add up to base
         nonlocal count, above_total, low, k
-        if r < len(below):
+        if r < depth:
             row = below[r]
             for v in range(lo, n + 1):
                 walk(r + 1, v, base + row[v])
             return
-        for a in first[lo:]:
-            above = base + a
-            above_total += above
-            if above <= low:
-                if above < low:
-                    low, k = above, 0
-                k += 1
-        count += n + 1 - lo
+        for w in range(lo, stop):
+            b = base + second[w]
+            for a in first[w:]:
+                above = b + a
+                above_total += above
+                if above <= low:
+                    if above < low:
+                        low, k = above, 0
+                    k += 1
+            count += n + 1 - w
 
     walk(0, 0, 0)
     del walk  # it refers to itself: free the rows now, not at the next collection
@@ -260,15 +275,16 @@ def _largest_excess(params: CoreParams, outer: Sequence[int]) -> int:
     if params.m > params.n:
         params = CoreParams(params.t, params.s)
     m, n = params.m, params.n
-    best = 0
+    best, size = 0, len(outer)
     for r in range(m + 1):
         k = 0
         cuts = (n,) * r + (0,) * (m - r)
         for i, h in enumerate(sorted(_row_hooks(params, cuts), reverse=True), 1):
             # i hooks of the corner's set are >= h, and k of outer's
-            while k < len(outer) and outer[k] >= h:
+            while k < size and outer[k] >= h:
                 k += 1
-            best = max(best, i - k)
+            if i - k > best:
+                best = i - k
     return best
 
 
@@ -320,13 +336,12 @@ def verify_pair(
 
     add("largest_core_contains_all", _largest_excess(params, largest_hooks(params)), 0)
 
-    average = stats.average_size
     return {
         "s": s,
         "t": t,
         "count": stats.count,
         "total": stats.total_size,
-        "average": {"num": average.numerator, "den": average.denominator},
+        "average": stats._average_terms(),
         "max": stats.max_size,
         "checks": checks,
     }

@@ -112,14 +112,22 @@ class Partition(Value):
         return Partition(tuple(cols))
 
     def is_self_conjugate(self) -> bool:
-        """Compare each row with its column count, stopping at the first
-        mismatch; no conjugate is built."""
+        """Compare each row of the Durfee square with its column count,
+        stopping at the first mismatch; no conjugate is built.
+
+        Those rows suffice: with d the Durfee side, the partition is fixed
+        by its Frobenius coordinates (rows_j - j, cols_j - j) for j <= d,
+        and conjugation swaps the two, so it is self-conjugate exactly when
+        rows_j = cols_j for every j <= d.
+        """
         rows = self.rows
         # c counts the rows reaching column j.  At j = 1 that is all of them,
         # so the loop goes on only if rows[0] = len(rows), and rows[0] >= j
         # then keeps c >= 1
         c = len(rows)
         for j, r in enumerate(rows, start=1):
+            if r < j:  # past the Durfee square
+                return True
             while rows[c - 1] < j:
                 c -= 1
             if r != c:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from corepaths import (
     path_from_core,
     path_hook_set,
 )
+from corepaths import bijection
 from corepaths.enumeration import coprime_pairs, iter_box_partitions
 from corepaths.partitions import is_t_core, partition_from_diagonal_hooks
 
@@ -394,3 +397,57 @@ def test_path_from_core_agrees_with_the_sweep_on_seeded_non_images():
 def test_core_from_path_box_mismatch():
     with pytest.raises(ValueError, match="path box 1x1 does not match array 4x5"):
         core_from_path(LatticePath(1, 1), FIG1_PARAMS)
+
+
+def test_row_table_is_a_private_cache_of_the_params():
+    # a params object that has served round trips compares, hashes, prints,
+    # copies and pickles exactly like a fresh one
+    used, fresh = CoreParams(8, 11), CoreParams(8, 11)
+    for path in iter_paths(used.m, used.n):
+        assert path_from_core(core_from_path(path, used), used) == path
+    assert used._row_table() is used._row_table()
+    assert CoreParams._fields == ("s", "t")
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == "CoreParams(s=8, t=11)"
+    assert pickle.dumps(used) == pickle.dumps(fresh)
+    for copied in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
+        assert copied == fresh and hash(copied) == hash(fresh)
+    with pytest.raises(AttributeError):
+        used._rows = None
+
+
+def test_row_table_holds_the_first_column_and_the_positive_counts():
+    for s, t in coprime_pairs(15):
+        for params in (CoreParams(s, t), CoreParams(t, s)):
+            arr = build_array(params.s, params.t)
+            firsts, positives, t_inv = params._row_table()
+            assert list(firsts) == [row[0] for row in arr.entries]
+            assert list(positives) == [sum(e > 0 for e in row) for row in arr.entries]
+            assert t_inv * params.t % params.s == 1
+
+
+def test_bijection_holds_no_cache_but_the_arrays():
+    # the row table lives on its params, so round trips through fresh params
+    # leave every module-level container of bijection as it was
+    def containers():
+        return {
+            name: len(value)
+            for name, value in vars(bijection).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))
+        }
+
+    cached = [name for name, value in vars(bijection).items() if hasattr(value, "cache_info")]
+    assert cached == ["build_array"]
+    before = containers()
+    for s, t in coprime_pairs(13):
+        params = CoreParams(s, t)
+        path = LatticePath(params.m, params.n)
+        assert path_from_core(core_from_path(path, params), params) == path
+    assert containers() == before
+
+
+def test_row_hooks_take_one_cut_per_row():
+    with pytest.raises(ValueError):
+        bijection._row_hooks(FIG1_PARAMS, [0] * 3)
+    with pytest.raises(ValueError):
+        bijection._row_hooks(FIG1_PARAMS, [0] * 5)

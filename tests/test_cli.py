@@ -405,7 +405,8 @@ heavy = {"numpy", "dataclasses", "inspect", "fractions", "corepaths.enumeration"
 assert not heavy & set(sys.modules), heavy & set(sys.modules)
 for argv, absent in [(["largest", "--s", "8", "--t", "11"], heavy),
                      (["stats", "--s", "8", "--t", "11"],
-                      {"corepaths.identities", "corepaths.oracles"})]:
+                      {"corepaths.identities", "corepaths.oracles", "fractions"}),
+                     (["verify", "--s", "8", "--t", "11"], {"corepaths.oracles", "fractions"})]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert corepaths.cli.main(argv) == 0
     assert not absent & set(sys.modules), (argv, absent & set(sys.modules))

@@ -274,6 +274,19 @@ def test_tall_box_stats_equal_the_wide_box_stats(s, t):
     assert report_all_pass(verify_pair(s, t))
 
 
+@pytest.mark.parametrize("s, t", [(3, 3001), (2, 4001)])
+def test_wide_one_row_box_stats_equal_the_tall_box_stats(s, t):
+    # m = 1 < n: the walk runs untransposed, and its leaf folds the top row
+    # once over a second row held at 0; every route agrees with the swapped
+    # pair's, whose walk reaches the same leaf through the transpose
+    assert s // 2 == 1 < t // 2
+    walk = fold_path_sizes(s, t)
+    assert walk.count == t // 2 + 1
+    assert walk == fold_path_sizes(t, s) == enumeration._staircase_sizes(t, s)
+    assert walk == enumeration._staircase_sizes(s, t) == enumerated_stats(s, t)
+    assert report_all_pass(verify_pair(s, t))
+
+
 def test_above_total_decomposes_into_weighted_table_sums():
     # entry (i, j) is s*t + s + t - 2sj - 2ti, so the path-summed above-total
     # splits into the plain and the row-/column-weighted below-count sums

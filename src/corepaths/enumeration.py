@@ -7,11 +7,11 @@ it as num/den in lowest terms, without importing fractions.  A core's size
 is the largest size minus the array entries above its path, and the rows
 of the above-partition weakly decrease, so the statistics come from a
 staircase fold: a DP over the value of each row, bottom row up, in O(mn)
-semiring steps (``_staircase_fold``).  The path walk stays as its independent cross-check: it recurses up the
-rows, visits every path once, and checks its path count against the
-binomial.  ``verify_pair`` works from numbers alone: the rows' closed forms,
-the below-count table's sums and the largest core's hooks, with no array,
-path or partition object built.
+semiring steps (``_staircase_fold``).  The path walk stays as its
+independent cross-check: it recurses up the rows, visits every path once,
+and checks its path count against the binomial.  ``verify_pair`` works from
+numbers alone: the rows' closed forms, the below-count table's sums and the
+largest core's hooks, with no array, path or partition object built.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ class CoreStats(Value):
         _set(self, "max_multiplicity", max_multiplicity)
 
     @property
-    def average_size(self) -> Fraction:
+    def average_size(self):
+        """total_size / count as a ``fractions.Fraction``."""
         from fractions import Fraction
 
         return Fraction(self.total_size, self.count)
@@ -266,19 +267,18 @@ def _largest_excess(params: CoreParams, outer: Sequence[int]) -> int:
     fall along each row, so that weight never falls along one, and each
     row's share of the sum is convex in its cut.  A convex function on the
     staircase n >= mu_1 >= ... >= mu_m >= 0 (a simplex) peaks at a corner:
-    a path with its top r rows above it.  The (t, s) array is the transpose
-    of the (s, t) array and has the same path hook sets, so the box is read
-    no taller than wide: for every x at once the largest excess over all
-    C(m+n, m) paths is the largest over min(m, n) + 1 corners, whose hook
-    sets are read in O(min(m, n) * mn log mn) steps.
+    a path with its top r rows above it.  Fix x.  Row i wholly above the
+    path adds N_i(x) - P_i(x), its |negative| entries >= x less its
+    positive ones.  Entries fall by 2t down each column, so that weight
+    never falls with i: the sum over the top r rows is convex in r and
+    peaks at r = 0 or r = m.  So for every x at once the largest excess is
+    the larger of the empty and the full path's, the same two paths in
+    either orientation of the box: two hook sets, read in O(mn log mn) steps.
     """
-    if params.m > params.n:
-        params = CoreParams(params.t, params.s)
     m, n = params.m, params.n
     best, size = 0, len(outer)
-    for r in range(m + 1):
+    for cuts in ((0,) * m, (n,) * m):
         k = 0
-        cuts = (n,) * r + (0,) * (m - r)
         for i, h in enumerate(sorted(_row_hooks(params, cuts), reverse=True), 1):
             # i hooks of the corner's set are >= h, and k of outer's
             while k < size and outer[k] >= h:
@@ -301,8 +301,9 @@ def verify_pair(
     must be within ``budget``: the walk is the only check that visits every
     path.  ``largest_core_contains_all`` reads the largest excess of any
     path image's hooks over the largest core's (``_largest_excess``) from
-    the min(m, n) + 1 corner paths of the box: lhs is that excess and rhs
-    0, so lhs > 0 exactly when some path image does not fit.
+    the two corner paths of the box, the empty and the full path, in
+    O(mn log mn) steps: lhs is that excess and rhs 0, so lhs > 0 exactly
+    when some path image does not fit.
     """
     params = CoreParams(s, t)
     expected = check_budget("path", params.path_count, budget)

@@ -111,14 +111,15 @@ class Partition(Value):
                 cols[j] += 1
         return Partition(tuple(cols))
 
-    def is_self_conjugate(self) -> bool:
-        """Compare each row of the Durfee square with its column count,
-        stopping at the first mismatch; no conjugate is built.
+    def _self_conjugate_durfee(self) -> int | None:
+        """The Durfee side d if the partition is self-conjugate, else None:
+        each row of the Durfee square is compared with its column count,
+        stopping at the first mismatch, and no conjugate is built.
 
-        Those rows suffice: with d the Durfee side, the partition is fixed
-        by its Frobenius coordinates (rows_j - j, cols_j - j) for j <= d,
-        and conjugation swaps the two, so it is self-conjugate exactly when
-        rows_j = cols_j for every j <= d.
+        Those rows suffice: the partition is fixed by its Frobenius
+        coordinates (rows_j - j, cols_j - j) for j <= d, and conjugation
+        swaps the two, so it is self-conjugate exactly when rows_j = cols_j
+        for every j <= d.
         """
         rows = self.rows
         # c counts the rows reaching column j.  At j = 1 that is all of them,
@@ -127,12 +128,16 @@ class Partition(Value):
         c = len(rows)
         for j, r in enumerate(rows, start=1):
             if r < j:  # past the Durfee square
-                return True
+                return j - 1
             while rows[c - 1] < j:
                 c -= 1
             if r != c:
-                return False
-        return True
+                return None
+        return len(rows)
+
+    def is_self_conjugate(self) -> bool:
+        """Whether the partition is its own conjugate: one Durfee-square walk."""
+        return self._self_conjugate_durfee() is not None
 
     def contains(self, inner: "Partition") -> bool:
         """Containment order: every row of ``inner`` fits inside this one."""
@@ -148,23 +153,16 @@ class Partition(Value):
         """
         return list(map(add, self.rows, range(len(self.rows) - 1, -1, -1)))
 
-    def durfee(self) -> int:
-        """Side of the largest square fitting in the diagram: the rows before
-        the first one shorter than its (1-based) index."""
-        for i, r in enumerate(self.rows):
-            if r <= i:
-                return i
-        return len(self.rows)
-
     def diagonal_hooks(self) -> tuple[int, ...]:
         """Hook lengths of the main diagonal cells, strictly decreasing.
 
         Only defined for self-conjugate partitions, where every diagonal
         hook is odd: the hook of (i, i) is 2*(rows[i] - i) + 1.
         """
-        if not self.is_self_conjugate():
+        d = self._self_conjugate_durfee()
+        if d is None:
             raise ValueError("diagonal hooks require a self-conjugate partition")
-        return tuple([2 * (r - i) + 1 for i, r in enumerate(self.rows[: self.durfee()], 1)])
+        return tuple([2 * (r - i) + 1 for i, r in enumerate(self.rows[:d], 1)])
 
     def ferrers(self) -> str:
         """One line of box glyphs per row; the empty partition is '(empty)'."""

@@ -4,6 +4,7 @@ import inspect
 import pickle
 import pkgutil
 import sys
+import typing
 
 import pytest
 
@@ -77,9 +78,33 @@ def test_removed_names_are_in_no_module():
         assert not REMOVED & set(vars(module)), module.__name__
     assert not hasattr(LatticePath, "is_above")
     for cls, method in ((Partition, "hook_length"), (Partition, "hook_lengths"),
+                        (Partition, "durfee"),
                         (CoreArray, "hook_set"), (CoreArray, "positive_sum")):
         assert not hasattr(cls, method), method
     assert "oracle_budget" not in inspect.signature(verify_pair).parameters
+
+
+def test_type_hints_of_every_public_callable_resolve():
+    # each public function, and each public method or property of a public
+    # class, defined in one of the six submodules
+    names = [info.name for info in pkgutil.iter_modules(corepaths.__path__)]
+    assert len(names) == 6
+    checked = 0
+    for sub in names:
+        module = importlib.import_module(f"corepaths.{sub}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else ()
+            for fn in [obj] + [
+                getattr(m, "fget", None) or getattr(m, "__func__", m)
+                for n, m in members
+                if not n.startswith("_") or n == "__init__"
+            ]:
+                if inspect.isfunction(fn) or inspect.isclass(fn):
+                    typing.get_type_hints(fn)
+                    checked += 1
+    assert checked > 60
 
 
 def test_exports_resolve_lazily_to_their_submodule_objects():

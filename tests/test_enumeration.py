@@ -3,7 +3,7 @@ from math import comb, gcd
 
 import pytest
 
-from corepaths import enumeration
+from corepaths import bijection, enumeration
 from corepaths import (
     BudgetError,
     CoreParams,
@@ -397,25 +397,52 @@ def test_verify_pair_checks_containment_past_the_old_sweep_limit():
     assert report_all_pass(report)
 
 
-def test_containment_reads_only_the_corner_paths(monkeypatch):
-    # the containment check reads min(m, n) + 1 hook sets, and largest_hooks
-    # one more: no path of the box is enumerated for it
-    from corepaths import bijection
-
+def _count_row_hooks(monkeypatch):
+    """The cuts of every ``_row_hooks`` call from here on."""
     calls = []
     row_hooks = bijection._row_hooks
 
     def counted(params, cuts):
-        calls.append(cuts)
+        calls.append(tuple(cuts))
         return row_hooks(params, cuts)
 
     monkeypatch.setattr(bijection, "_row_hooks", counted)
     monkeypatch.setattr(enumeration, "_row_hooks", counted)
+    return calls
+
+
+def test_containment_reads_only_the_corner_paths(monkeypatch):
+    # the containment check reads the two corner paths' hook sets, and
+    # largest_hooks one more: no path of the box is enumerated for it
+    calls = _count_row_hooks(monkeypatch)
     for s, t in ((16, 17), (17, 16), (3, 2003), (2003, 3)):
         calls.clear()
-        params = CoreParams(s, t)
         assert report_all_pass(verify_pair(s, t))
-        assert len(calls) == min(params.m, params.n) + 2
+        assert len(calls) == 3
+
+
+def test_largest_excess_reads_the_empty_and_the_full_path(monkeypatch):
+    params = CoreParams(999, 1001)
+    outer = bijection.largest_hooks(params)
+    calls = _count_row_hooks(monkeypatch)
+    assert _largest_excess(params, outer) == 0
+    m, n = params.m, params.n
+    assert sorted(calls) == [(0,) * m, (n,) * m]
+
+
+def test_row_weights_never_fall_down_the_array():
+    # with x fixed, row i wholly above a path adds N_i(x) - P_i(x), its
+    # |negative| entries >= x less its positive ones: that weight never
+    # falls with i, so the sum over the top r rows is convex in r and the
+    # largest excess sits on the empty or the full path
+    for s, t in coprime_pairs(17):
+        for s, t in ((s, t), (t, s)):
+            rows = build_array(s, t).entries
+            for x in range(1, s * t):
+                weights = [
+                    sum(v <= -x for v in row) - sum(v >= x for v in row) for row in rows
+                ]
+                assert weights == sorted(weights), (s, t, x)
 
 
 @pytest.mark.parametrize("s, t", [(16, 17), (17, 16), (3, 2003), (2003, 3)])
@@ -481,7 +508,7 @@ def test_largest_excess_agrees_with_the_sweep_on_every_pair_to_17():
 
 def test_largest_excess_agrees_with_the_sweep_on_path_images():
     # every path image of five pairs stands in for the largest core, read
-    # in both orientations of the box (row corners, then column corners)
+    # in both orientations of the box
     cases = failing = 0
     for s, t in ((8, 11), (7, 9), (9, 10), (5, 12), (6, 13)):
         params = CoreParams(s, t)

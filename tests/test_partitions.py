@@ -160,6 +160,23 @@ def test_is_self_conjugate_matches_the_conjugate_up_to_24():
         assert p.is_self_conjugate() == (p.conjugate().rows == p.rows), rows
 
 
+def test_diagonal_hooks_read_the_durfee_side_off_the_self_conjugacy_walk(monkeypatch):
+    # one walk decides self-conjugacy and finds the Durfee side d, the
+    # rows i with rows_i >= i: the diagonal hooks are the first d rows'
+    for rows in iter_partitions_up_to(24):
+        p = Partition(rows)
+        d = sum(r >= i for i, r in enumerate(rows, 1))
+        expected = d if p.conjugate().rows == p.rows else None
+        assert p._self_conjugate_durfee() == expected, rows
+        if expected is not None:
+            assert p.diagonal_hooks() == tuple(hook_length(p, i, i) for i in range(1, d + 1))
+    walks = []
+    walk = Partition._self_conjugate_durfee
+    monkeypatch.setattr(Partition, "_self_conjugate_durfee", lambda p: walks.append(p) or walk(p))
+    assert FIG1.diagonal_hooks() == (13, 7, 5)
+    assert walks == [FIG1]
+
+
 def test_diagonal_hooks_examples():
     assert FIG1.diagonal_hooks() == (13, 7, 5)
     assert Partition().diagonal_hooks() == ()

@@ -436,13 +436,13 @@ def test_row_weights_never_fall_down_the_array():
     # falls with i, so the sum over the top r rows is convex in r and the
     # largest excess sits on the empty or the full path
     for s, t in coprime_pairs(17):
-        for s, t in ((s, t), (t, s)):
-            rows = build_array(s, t).entries
-            for x in range(1, s * t):
+        for a, b in ((s, t), (t, s)):
+            rows = build_array(a, b).entries
+            for x in range(1, a * b):
                 weights = [
                     sum(v <= -x for v in row) - sum(v >= x for v in row) for row in rows
                 ]
-                assert weights == sorted(weights), (s, t, x)
+                assert weights == sorted(weights), (a, b, x)
 
 
 @pytest.mark.parametrize("s, t", [(16, 17), (17, 16), (3, 2003), (2003, 3)])

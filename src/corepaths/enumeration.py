@@ -6,8 +6,8 @@ average is a Fraction (``CoreStats.average_size``), and the reports carry
 it as num/den in lowest terms, without importing fractions.  A core's size
 is the largest size minus the array entries above its path, and the rows
 of the above-partition weakly decrease, so the statistics come from a
-staircase fold: a DP over the value of each row, bottom row up, in O(mn)
-semiring steps (``_staircase_fold``).  The path walk stays as its
+staircase fold: a DP over the value of each row, bottom row up, one
+semiring step per cell (``_staircase_fold``).  The path walk stays as its
 independent cross-check: it recurses up the rows, visits every path once,
 and checks its path count against the binomial.  ``verify_pair`` works from
 numbers alone: the rows' closed forms, the below-count table's sums and the
@@ -162,44 +162,44 @@ def fold_path_sizes(s: int, t: int) -> CoreStats:
     return CoreStats(count, top * count - above_total, top - low, k)
 
 
-def _staircase_fold(rows, width, unit, shift, combine):
+def _staircase_fold(rows, width, zero, unit, step):
     """Fold a semiring over every weakly decreasing sequence
     n >= mu_1 >= ... >= mu_m >= 0, the above-partitions of the m x n box.
 
     rows gives the m weight rows bottom row first, each of ``width`` = n+1
-    weights: row i weighs mu_i = v by its v-th weight.  ``shift(x, a)``
-    puts a row of weight a on top of every sequence x stands for,
-    ``combine(x, y)`` merges two disjoint sets of sequences, and ``unit``
-    stands for the empty sequence.  After row i, acc[v] stands for every
-    suffix mu_i, ..., mu_m with mu_i <= v, a running prefix over v that row
-    i-1 reads in place, so one row is held at a time.  O(mn) shifts and
-    combines.
+    weights: row i weighs mu_i = v by its v-th weight.  ``zero`` stands for
+    no sequence and ``unit`` for the empty one.  ``step(running, x, a)``
+    puts a row of weight a on top of every sequence x stands for and
+    merges the result into ``running``, in one call.  After row i, acc[v]
+    stands for every suffix mu_i, ..., mu_m with mu_i <= v, a running
+    prefix over v that row i-1 reads in place, so one row is held at a
+    time.  O(mn) steps, one per cell.
     """
     acc = [unit] * width
     for row in rows:
-        running = acc[0] = shift(acc[0], row[0])
-        for v in range(1, width):
-            running = acc[v] = combine(running, shift(acc[v], row[v]))
+        running = zero
+        for v in range(width):
+            running = acc[v] = step(running, acc[v], row[v])
     return acc[-1]
 
 
 # The size semiring: (paths, sum of their above-sums, least above-sum, how
 # many paths attain it).  The above-sum is what a path's core lacks of the
-# largest core.
+# largest core.  Zero's least above-sum is inf, so each row's first step
+# replaces it and only ints leave the fold.
+_SIZE_ZERO = (0, 0, math.inf, 0)
 _SIZE_UNIT = (1, 0, 0, 1)
 
 
-def _size_shift(x, a):
+def _size_step(running, x, a):
+    rc, rt, rl, rk = running
     c, total, low, k = x
-    return (c, total + a * c, low + a, k)
-
-
-def _size_combine(x, y):
-    if x[2] < y[2]:
-        return (x[0] + y[0], x[1] + y[1], x[2], x[3])
-    if y[2] < x[2]:
-        return (x[0] + y[0], x[1] + y[1], y[2], y[3])
-    return (x[0] + y[0], x[1] + y[1], x[2], x[3] + y[3])
+    low += a
+    if low > rl:
+        return (rc + c, rt + total + a * c, rl, rk)
+    if low < rl:
+        return (rc + c, rt + total + a * c, low, k)
+    return (rc + c, rt + total + a * c, low, rk + k)
 
 
 def _staircase_sizes(s: int, t: int) -> CoreStats:
@@ -207,7 +207,7 @@ def _staircase_sizes(s: int, t: int) -> CoreStats:
     array's row prefix sums in O(mn) steps instead of one per path."""
     params = CoreParams(s, t)
     count, above, low, k = _staircase_fold(
-        _prefix_rows(params), params.n + 1, _SIZE_UNIT, _size_shift, _size_combine
+        _prefix_rows(params), params.n + 1, _SIZE_ZERO, _SIZE_UNIT, _size_step
     )
     top = params.max_core_size
     return CoreStats(count, top * count - above, top - low, k)

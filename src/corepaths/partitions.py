@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from operator import add, index, le
+from operator import add, ge, index, le
 
 # sets a field of a Value in its __init__, past the refusing __setattr__
 _set = object.__setattr__
@@ -141,9 +141,7 @@ class Partition(Value):
 
     def contains(self, inner: "Partition") -> bool:
         """Containment order: every row of ``inner`` fits inside this one."""
-        if len(inner) > len(self):
-            return False
-        return all(self.rows[i] >= inner.rows[i] for i in range(len(inner)))
+        return len(inner.rows) <= len(self.rows) and all(map(ge, self.rows, inner.rows))
 
     def first_column_hooks(self) -> list[int]:
         """Hook lengths of the first-column cells, top to bottom.

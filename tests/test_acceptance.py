@@ -21,6 +21,7 @@ from corepaths import (
     brute_force_sc_cores,
     build_array,
     core_from_path,
+    enumerated_stats,
     identity_report,
     iter_paths,
     largest_core,
@@ -270,3 +271,20 @@ def test_criterion_13_array_free_round_trip():
     print(f"ACCEPTANCE 13 path_from_core traced peak: {peak / 2**20:.2f} MiB (bound 16)")
     assert peak < 16 * 2**20
     _report("13 array-free round trip", ok, elapsed, 2.0)
+
+
+def test_criterion_14_stats_dp_at_1001_1003():
+    # (1001, 1003): a 500 x 501 box of C(1001, 500) paths, which only the
+    # staircase fold's 250,500 steps reach.  The count, the average
+    # formula, the closed-form maximum and its multiplicity are exact
+    s, t = 1001, 1003
+    start = time.perf_counter()
+    st = enumerated_stats(s, t)
+    elapsed = time.perf_counter() - start
+    ok = (
+        st.count == comb(1001, 500)
+        and 24 * st.total_size == (s + t + 1) * (s - 1) * (t - 1) * st.count
+        and st.max_size == (s * s - 1) * (t * t - 1) // 24
+        and st.max_multiplicity == 1
+    )
+    _report("14 stats DP at (1001, 1003)", ok, elapsed, 2.0)

@@ -171,10 +171,40 @@ def test_staircase_fold_on_tied_weights():
                 assert enumeration._staircase_fold(
                     weights[::-1],
                     n + 1,
+                    enumeration._SIZE_ZERO,
                     enumeration._SIZE_UNIT,
-                    enumeration._size_shift,
-                    enumeration._size_combine,
+                    enumeration._size_step,
                 ) == (len(above), sum(above), min(above), above.count(min(above)))
+
+
+def test_staircase_fold_lists_every_sequence_once():
+    # a listing semiring, apart from the size one: zero lists no sequence,
+    # unit the empty one, and a step puts row value a on top of each listed
+    # suffix.  Row weights v make each listed tuple the sequence itself
+    def step(running, x, a):
+        return running + [(a, *q) for q in x]
+
+    for m in range(1, 6):
+        for n in range(1, 6):
+            listed = enumeration._staircase_fold([range(n + 1)] * m, n + 1, [], [()], step)
+            assert sorted(listed) == sorted(iter_box_partitions(m, n)), (m, n)
+
+
+def test_staircase_fold_takes_one_step_per_cell():
+    # the 7 x 9 box of (15, 19): m rows of n + 1 cells, one step each
+    calls = 0
+
+    def step(running, x, a):
+        nonlocal calls
+        calls += 1
+        return enumeration._size_step(running, x, a)
+
+    params = CoreParams(15, 19)
+    m, n = params.m, params.n
+    assert (m, n) == (7, 9)
+    rows = enumeration._prefix_rows(params)
+    enumeration._staircase_fold(rows, n + 1, enumeration._SIZE_ZERO, enumeration._SIZE_UNIT, step)
+    assert calls == m * (n + 1)
 
 
 @pytest.mark.parametrize("s, t", [(101, 103), (501, 503)])

@@ -288,6 +288,23 @@ def test_contains_examples():
     assert Partition((3,)).contains(Partition())
 
 
+def test_contains_matches_the_cells_up_to_8():
+    # the literal definition: every cell of inner is a cell of outer.  The
+    # pairs include the empty partition on either side and inner partitions
+    # longer than the outer one
+    def cells(p):
+        return {(i, j) for i, r in enumerate(p.rows) for j in range(r)}
+
+    parts = [Partition(rows) for rows in iter_partitions_up_to(8)]
+    assert Partition() in parts
+    longer = 0
+    for outer in parts:
+        for inner in parts:
+            longer += len(inner) > len(outer)
+            assert outer.contains(inner) == (cells(inner) <= cells(outer)), (outer, inner)
+    assert longer
+
+
 def test_ferrers_examples():
     assert Partition((2, 1)).ferrers() == "▪▪\n▪"
     assert Partition().ferrers() == "(empty)"

@@ -28,8 +28,8 @@ from .partitions import Partition, Value, _set, partition_from_diagonal_hooks, v
 # about overflow: it bounds array size and work, since the array has about
 # s*t/4 entries and the largest core about (s*t)^2/24 cells.
 _MAX_ST = 2**31
-# Cap on the m*n cells of a built array, and of the below-count table that
-# ``identities`` builds.
+# Cap on the m*n cells of a built array, and of a box whose below-count
+# rows ``identities`` streams, whether it folds them or keeps the table.
 _MAX_CELLS = 10**6
 # Cap on the rows a job may hold: its core count times the (s-1)(t-1)/2
 # rows of the largest core, which contains every (s, t)-core.

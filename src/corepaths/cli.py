@@ -159,7 +159,7 @@ def _run_map(args):
     check_listing(params)
     path = _parse_path(args.path, params.m, params.n)
     hooks = sorted(_row_hooks(params, _path_cuts(path, params)), reverse=True)
-    core = core_from_path(path, params)
+    core = partition_from_diagonal_hooks(hooks)
     return 0, {**_path_payload(params, path, core), "hooks": hooks, "size": core.size}
 
 
@@ -253,7 +253,7 @@ _IDENTITY_CHECKS = ("sum_f_ok", "sum_if_ok", "sum_jf_ok", "symmetry_ok", "recurr
 
 
 def _run_identities(args):
-    from .identities import identity_report
+    from .identities import _check_box, identity_report
 
     if args.max is None:
         if args.m is None or args.n is None:
@@ -264,6 +264,7 @@ def _run_identities(args):
     elif args.max < 1:
         raise ValueError(f"--max must be at least 1, got {args.max}")
     else:
+        _check_box(args.max, args.max)  # the largest box, before the first
         boxes = [(m, n) for m in range(1, args.max + 1) for n in range(1, args.max + 1)]
     reports = [identity_report(m, n) for m, n in boxes]
     ok = all(r[key] for r in reports for key in _IDENTITY_CHECKS)

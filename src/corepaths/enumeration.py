@@ -202,10 +202,9 @@ def _size_step(running, x, a):
     return (rc + c, rt + total + a * c, low, rk + k)
 
 
-def _staircase_sizes(s: int, t: int) -> CoreStats:
+def _staircase_sizes(params: CoreParams) -> CoreStats:
     """What ``fold_path_sizes`` computes, by the staircase fold over the
     array's row prefix sums in O(mn) steps instead of one per path."""
-    params = CoreParams(s, t)
     count, above, low, k = _staircase_fold(
         _prefix_rows(params), params.n + 1, _SIZE_ZERO, _SIZE_UNIT, _size_step
     )
@@ -223,8 +222,9 @@ def enumerated_stats(
 
     The statistics come from the staircase fold, whose m * n cells must be
     within ``budget``."""
-    check_budget("cell", CoreParams(s, t).cell_count, budget)
-    return _staircase_sizes(s, t)
+    params = CoreParams(s, t)
+    check_budget("cell", params.cell_count, budget)
+    return _staircase_sizes(params)
 
 
 def total_size_from_path_counts(s: int, t: int) -> int:
@@ -235,16 +235,14 @@ def total_size_from_path_counts(s: int, t: int) -> int:
     Entry (i, j) is (st + s + t) - 2t*i - 2s*j, so that weighted sum is
     three sums of f, the ones the identity checks give closed forms for, and
     ``total_matches_path_counts`` ties the closed-form rows the folds use to
-    the counting identities.  f is refused over 10**6 cells."""
-    from .identities import sum_below, sum_below_times_col, sum_below_times_row
+    the counting identities.  ``below_sums`` folds f's rows, to 10**6 cells."""
+    from .identities import below_sums
 
     params = CoreParams(s, t)
-    m, n = params.m, params.n
+    total, by_row, by_col = below_sums(params.m, params.n)
     return (
         params.max_core_size * params.path_count
-        - (s * t + s + t) * sum_below(m, n)
-        + 2 * t * sum_below_times_row(m, n)
-        + 2 * s * sum_below_times_col(m, n)
+        - (s * t + s + t) * total + 2 * t * by_row + 2 * s * by_col
     )
 
 
@@ -307,10 +305,10 @@ def verify_pair(
     """
     params = CoreParams(s, t)
     expected = check_budget("path", params.path_count, budget)
-    # first, as it builds the below-count table: a box over its cell cap is
+    # first, as it folds the below-count rows: a box over their cell cap is
     # refused before the walk
     path_counts_total = total_size_from_path_counts(s, t)
-    stats = _staircase_sizes(s, t)
+    stats = _staircase_sizes(params)
     walk = fold_path_sizes(s, t)
 
     checks = []

@@ -2,92 +2,96 @@
 
 The central object is the table whose (i, j) entry counts the monotone
 lower-left to upper-right paths lying below cell (i, j), i.e. the paths
-whose above-partition mu has mu_i >= j.  All arithmetic is plain Python
-integers: the weighted sums overflow 64 bits well before the m, n <= 30
-sweep ends.
+whose above-partition mu has mu_i >= j.  ``_below_rows`` streams its rows
+bottom up from two rows of prefix counts; ``below_sums`` folds them and
+``below_count_table`` keeps them.  All arithmetic is plain Python integers:
+the weighted sums overflow 64 bits well before the m, n <= 30 sweep ends.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import add, mul, sub
 
 from .bijection import _MAX_CELLS
 
 
-def path_prefix_table(a: int, b: int) -> list[list[int]]:
-    """Pascal-style DP table: entry [x][y] counts monotone paths from (0, 0)
-    to (x, y), built from the one-step recurrence."""
-    table = [[1] * (b + 1) for _ in range(a + 1)]
-    for x in range(1, a + 1):
-        row = table[x]
-        prev = table[x - 1]
-        for y in range(1, b + 1):
-            row[y] = prev[y] + row[y - 1]
-    return table
-
-
-@lru_cache(maxsize=128)
-def below_count_table(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Table (1-based cells stored 0-based) counting, for each cell (i, j),
-    the paths in the m x n box that pass below it.
-
-    A path is below cell (i, j) exactly when it crosses the column strip of
-    j at some height h <= m - i, which splits it into a prefix ending at
-    (j-1, h) and a suffix from (j, h).  Cell (i, j) therefore counts the
-    crossings of cell (i+1, j) plus those at height h = m - i alone, so the
-    rows are built bottom up in O(mn) products.
-    Cached: each identity report reads its box and the boxes one row and
-    one column smaller, and a sweep over m, n <= MAX has read those among
-    its last MAX + 1 tables, so 128 tables miss once per box up to
-    ``identities --max 127``.  Refused before anything is allocated when
-    the box has over ``_MAX_CELLS`` cells.
-    """
+def _check_box(m: int, n: int) -> None:
+    """Refuse a box with a side below 1 or over ``_MAX_CELLS`` cells."""
     if m < 1 or n < 1:
         raise ValueError(f"box dimensions must be positive, got {m}x{n}")
     if m * n > _MAX_CELLS:
         raise ValueError(f"m*n = {m * n} table cells is over the supported maximum of 10**6")
-    # cell (i, j) of the box is cell (j, i) of the transposed box, so the
-    # table is built for the a x b box, a <= b, and transposed when tall:
-    # paths[x][y] = C(x+y, x) has a + 1 rows, and cell (i, j) adds the
-    # prefix count paths[a-i][j-1] times the suffix count paths[i][b-j]
+
+
+def _below_rows(a: int, b: int):
+    """The below-count rows of the a x b box, a <= b, as tuples, bottom first.
+
+    A path is below cell (i, j) exactly when it crosses the column strip of
+    j at some height h <= a - i, which splits it into a prefix ending at
+    (j-1, h) and a suffix from (j, h).  So row i is row i + 1 plus the
+    crossings at h = a - i: C(a-i+j-1, a-i) prefixes times C(i+b-j, i)
+    suffixes.  Two rows of C(x+y, x), y < b, are held: x = a - i, stepped
+    forward by prefix sums from x = 0, and x = i, stepped back by differences
+    from x = a, which a forward steps reach.  O(ab) additions and products.
+    """
+    ahead = back = (1,) * b
+    for _ in range(a):
+        back = tuple(accumulate(back))
+    below = back[::-1]  # row a: one prefix, C(j-1, 0) = 1, times each suffix
+    yield below
+    for _ in range(a - 1):  # step between two rows, never after the last
+        ahead = tuple(accumulate(ahead))
+        back = tuple(map(sub, back, (0, *back)))
+        below = tuple(map(add, below, map(mul, ahead, reversed(back))))
+        yield below
+
+
+def below_count_table(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Table (1-based cells stored 0-based) counting, for each cell (i, j),
+    the paths in the m x n box that pass below it.
+
+    Cell (i, j) of the box is cell (j, i) of the transposed box, so the
+    rows are made along the long side and a tall box's table is transposed.
+    Refused by ``_check_box`` before any row is made.
+    """
+    _check_box(m, n)
+    rows = tuple(_below_rows(min(m, n), max(m, n)))[::-1]
+    return rows if m <= n else tuple(zip(*rows))
+
+
+@lru_cache(maxsize=128)
+def below_sums(m: int, n: int) -> tuple[int, int, int]:
+    """(sum of f, of i * f, of j * f) over the 1-based cells (i, j) of the
+    m x n box's below-count table f, folded as its rows pass.  A tall box
+    reads its transpose, with the weighted sums swapped.
+
+    Cached: an identity report reads its box and the boxes one row and one
+    column smaller, among the last MAX + 1 of a sweep over m, n <= MAX, so
+    128 entries of three ints miss once per box up to ``--max 127``.
+    """
+    _check_box(m, n)
     a, b = min(m, n), max(m, n)
-    paths = path_prefix_table(a, b)
-    rows = []
-    below = [0] * b
-    for i in range(a, 0, -1):
-        below = [c + x * y for c, x, y in zip(below, paths[a - i], paths[i][b - 1 :: -1])]
-        rows.append(tuple(below))
-    rows.reverse()
-    del paths, below  # freed before a tall box's rows are transposed
-    return tuple(rows) if m <= n else tuple(zip(*rows))
-
-
-def sum_below(m: int, n: int) -> int:
-    return sum(sum(row) for row in below_count_table(m, n))
+    total = by_row = by_col = 0
+    for i, row in zip(range(a, 0, -1), _below_rows(a, b)):
+        row_sum = sum(row)
+        total += row_sum
+        by_row += i * row_sum
+        by_col += sum(map(mul, row, range(1, b + 1)))
+    return (total, by_row, by_col) if m <= n else (total, by_col, by_row)
 
 
 def sum_below_closed(m: int, n: int) -> int:
-    """Closed form for ``sum_below``: C(m+n, m) * m * n / 2."""
+    """Closed form for the plain sum of ``below_sums``: C(m+n, m) * m * n / 2."""
     prod = comb(m + n, m) * m * n
     assert prod % 2 == 0
     return prod // 2
 
 
-def sum_below_times_row(m: int, n: int) -> int:
-    """Sum of i * table[i][j] over all cells (1-based row index weight)."""
-    f = below_count_table(m, n)
-    return sum(i * v for i, row in enumerate(f, start=1) for v in row)
-
-
 def sum_below_times_row_closed(m: int, n: int) -> int:
     return comb(m + 2, 3) * comb(m + n, m + 1)
-
-
-def sum_below_times_col(m: int, n: int) -> int:
-    """Sum of j * table[i][j] over all cells (1-based column index weight)."""
-    f = below_count_table(m, n)
-    return sum(j * v for row in f for j, v in enumerate(row, start=1))
 
 
 def sum_below_times_col_closed(m: int, n: int) -> int:
@@ -96,27 +100,22 @@ def sum_below_times_col_closed(m: int, n: int) -> int:
 
 def row_weighted_recurrence_holds(m: int, n: int) -> bool:
     """Check G(m, n) = G(m-1, n) + G(m, n-1) + C(m+1, 2) * C(m+n-1, m) for
-    the row-weighted sum G, all four values computed from the table."""
+    the row-weighted sum G, all three G values from ``below_sums``."""
     if m < 2 or n < 2:
         raise ValueError(f"recurrence needs m, n >= 2, got {m}, {n}")
-    lhs = sum_below_times_row(m, n)
-    rhs = (
-        sum_below_times_row(m - 1, n)
-        + sum_below_times_row(m, n - 1)
-        + comb(m + 1, 2) * comb(m + n - 1, m)
-    )
-    return lhs == rhs
+    rhs = below_sums(m - 1, n)[1] + below_sums(m, n - 1)[1] + comb(m + 1, 2) * comb(m + n - 1, m)
+    return below_sums(m, n)[1] == rhs
 
 
 def symmetry_holds(m: int, n: int) -> bool:
     """Complementary cells partition the path set: table[i][j] plus
-    table[m-i+1][n-j+1] must equal C(m+n, m) everywhere."""
-    f = below_count_table(m, n)
+    table[m-i+1][n-j+1] must equal C(m+n, m) everywhere.  Mirrored rows are
+    paired, so the rows are read as made: bottom first, a tall box's wide."""
+    _check_box(m, n)
+    f = tuple(_below_rows(min(m, n), max(m, n)))
     full = comb(m + n, m)
     return all(
-        f[i][j] + f[m - 1 - i][n - 1 - j] == full
-        for i in range(m)
-        for j in range(n)
+        x + y == full for row, mirror in zip(f, reversed(f)) for x, y in zip(row, reversed(mirror))
     )
 
 
@@ -125,12 +124,13 @@ def identity_report(m: int, n: int) -> dict:
 
     The recurrence entry is vacuously true when either dimension is 1.
     """
+    total, by_row, by_col = below_sums(m, n)
     return {
         "m": m,
         "n": n,
-        "sum_f_ok": sum_below(m, n) == sum_below_closed(m, n),
-        "sum_if_ok": sum_below_times_row(m, n) == sum_below_times_row_closed(m, n),
-        "sum_jf_ok": sum_below_times_col(m, n) == sum_below_times_col_closed(m, n),
+        "sum_f_ok": total == sum_below_closed(m, n),
+        "sum_if_ok": by_row == sum_below_times_row_closed(m, n),
+        "sum_jf_ok": by_col == sum_below_times_col_closed(m, n),
         "symmetry_ok": symmetry_holds(m, n),
         "recurrence_ok": (
             row_weighted_recurrence_holds(m, n) if m >= 2 and n >= 2 else True

@@ -46,7 +46,8 @@ PUBLIC = {
 }
 
 # the exponential references and the formula only the tests call live in
-# tests/_reference.py; the wrapper brute_force_all_cores_count is gone
+# tests/_reference.py; the wrapper brute_force_all_cores_count is gone, and
+# so are the Pascal table and the three table sums that below_sums replaced
 REMOVED = {
     "average_size_formula",
     "iter_partitions",
@@ -58,6 +59,10 @@ REMOVED = {
     "hook_set_is_t_core",
     "core_size_from_path",
     "brute_force_all_cores_count",
+    "path_prefix_table",
+    "sum_below",
+    "sum_below_times_row",
+    "sum_below_times_col",
 }
 
 

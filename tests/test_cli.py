@@ -144,6 +144,16 @@ def test_map_text_renders_array_and_ferrers(capsys):
     assert "▪" * 7 in out
 
 
+def test_map_reads_the_path_hooks_once(capsys, monkeypatch):
+    from test_enumeration import _count_row_hooks
+
+    calls = _count_row_hooks(monkeypatch)
+    code, out, _ = run(capsys, "map", "--s", "8", "--t", "11", "--path", "[4,3,3,2]")
+    assert code == 0
+    assert json.loads(out)["hooks"] == [13, 7, 5]
+    assert calls == [(4, 3, 3, 2)]
+
+
 def test_map_unmap_round_trip_is_byte_identical(capsys):
     original = "[4,3,3,2]"
     _, out, _ = run(capsys, "map", "--s", "8", "--t", "11", "--path", original)
@@ -500,8 +510,11 @@ _ALL_LISTING = "100000 cores of up to 99999 rows each bound the listing at 99999
          f"{_ALL_LISTING}, over the supported maximum of 10**7"),
         ("identities --m 2000 --n 2000",
          "m*n = 4000000 table cells is over the supported maximum of 10**6"),
+        # the sweep's largest box, checked before its first box
+        ("identities --max 1001",
+         "m*n = 1002001 table cells is over the supported maximum of 10**6"),
     ],
-    ids=["bruteforce", "enumerate", "bruteforce-all", "identities"],
+    ids=["bruteforce", "enumerate", "bruteforce-all", "identities", "identities-max"],
 )
 def test_jobs_over_a_size_bound_are_refused_at_once(argv, err):
     # refused before any core is listed or any table allocated, under an
@@ -518,7 +531,7 @@ def test_identities_refuses_one_cell_over_before_any_table(capsys, monkeypatch):
     def allocated(*args):
         raise AssertionError("built a table over the cell cap")
 
-    monkeypatch.setattr(identities, "path_prefix_table", allocated)
+    monkeypatch.setattr(identities, "_below_rows", allocated)
     err = "error: m*n = 1001000 table cells is over the supported maximum of 10**6\n"
     assert run(capsys, "identities", "--m", "1001", "--n", "1000") == (2, "", err)
 

@@ -3,7 +3,7 @@ from math import comb, gcd
 
 import pytest
 
-from corepaths import bijection, enumeration
+from corepaths import bijection, cli, enumeration
 from corepaths import (
     BudgetError,
     CoreParams,
@@ -100,7 +100,8 @@ def test_staircase_fold_equals_path_walk():
     for s in range(2, 22):
         for t in range(2, 22):
             if s != t and gcd(s, t) == 1:
-                assert enumeration._staircase_sizes(s, t) == fold_path_sizes(s, t), (s, t)
+                stats = enumeration._staircase_sizes(CoreParams(s, t))
+                assert stats == fold_path_sizes(s, t), (s, t)
 
 
 def test_prefix_rows_are_the_array_row_prefix_sums():
@@ -115,6 +116,21 @@ def test_prefix_rows_are_the_array_row_prefix_sums():
                 rows = list(enumeration._prefix_rows(CoreParams(s, t)))
                 expected = [tuple(accumulate(row, initial=0)) for row in build_array(s, t).entries]
                 assert rows[::-1] == expected, (s, t)
+
+
+def test_stats_build_their_params_once(monkeypatch):
+    made = []
+    init = CoreParams.__init__
+
+    def spy(self, s, t):
+        made.append((s, t))
+        init(self, s, t)
+
+    monkeypatch.setattr(CoreParams, "__init__", spy)
+    for s, t in ((8, 11), (11, 8), (3, 2003)):
+        made.clear()
+        enumerated_stats(s, t)
+        assert made == [(s, t)]
 
 
 def test_stats_never_build_the_array(monkeypatch):
@@ -210,7 +226,7 @@ def test_staircase_fold_takes_one_step_per_cell():
 @pytest.mark.parametrize("s, t", [(101, 103), (501, 503)])
 def test_staircase_fold_closed_forms_far_over_the_path_budget(s, t):
     m, n = s // 2, t // 2
-    fold = enumeration._staircase_sizes(s, t)
+    fold = enumeration._staircase_sizes(CoreParams(s, t))
     assert fold.count == comb(m + n, m)
     assert 24 * fold.total_size == (s + t + 1) * (s - 1) * (t - 1) * fold.count
     assert fold.max_size == (s * s - 1) * (t * t - 1) // 24
@@ -299,8 +315,8 @@ def test_tall_box_stats_equal_the_wide_box_stats(s, t):
     # agrees with the swapped pair's
     assert s // 2 > t // 2
     walk = fold_path_sizes(s, t)
-    assert walk == fold_path_sizes(t, s) == enumeration._staircase_sizes(s, t)
-    assert walk == enumeration._staircase_sizes(t, s) == enumerated_stats(t, s)
+    assert walk == fold_path_sizes(t, s) == enumeration._staircase_sizes(CoreParams(s, t))
+    assert walk == enumeration._staircase_sizes(CoreParams(t, s)) == enumerated_stats(t, s)
     assert report_all_pass(verify_pair(s, t))
 
 
@@ -312,8 +328,8 @@ def test_wide_one_row_box_stats_equal_the_tall_box_stats(s, t):
     assert s // 2 == 1 < t // 2
     walk = fold_path_sizes(s, t)
     assert walk.count == t // 2 + 1
-    assert walk == fold_path_sizes(t, s) == enumeration._staircase_sizes(t, s)
-    assert walk == enumeration._staircase_sizes(s, t) == enumerated_stats(s, t)
+    assert walk == fold_path_sizes(t, s) == enumeration._staircase_sizes(CoreParams(t, s))
+    assert walk == enumeration._staircase_sizes(CoreParams(s, t)) == enumerated_stats(s, t)
     assert report_all_pass(verify_pair(s, t))
 
 
@@ -321,12 +337,7 @@ def test_above_total_decomposes_into_weighted_table_sums():
     # entry (i, j) is s*t + s + t - 2sj - 2ti, so the path-summed above-total
     # splits into the plain and the row-/column-weighted below-count sums
     from corepaths import build_array
-    from corepaths.identities import (
-        below_count_table,
-        sum_below,
-        sum_below_times_col,
-        sum_below_times_row,
-    )
+    from corepaths.identities import below_count_table, below_sums
 
     for s, t in coprime_pairs(13):
         m, n = s // 2, t // 2
@@ -335,11 +346,8 @@ def test_above_total_decomposes_into_weighted_table_sums():
         above_total = sum(
             arr.entry(i + 1, j + 1) * f[i][j] for i in range(m) for j in range(n)
         )
-        assert above_total == (
-            (s * t + s + t) * sum_below(m, n)
-            - 2 * s * sum_below_times_col(m, n)
-            - 2 * t * sum_below_times_row(m, n)
-        )
+        total, by_row, by_col = below_sums(m, n)
+        assert above_total == (s * t + s + t) * total - 2 * s * by_col - 2 * t * by_row
 
 
 def test_budget_guard():
@@ -436,8 +444,8 @@ def _count_row_hooks(monkeypatch):
         calls.append(tuple(cuts))
         return row_hooks(params, cuts)
 
-    monkeypatch.setattr(bijection, "_row_hooks", counted)
-    monkeypatch.setattr(enumeration, "_row_hooks", counted)
+    for module in (bijection, enumeration, cli):
+        monkeypatch.setattr(module, "_row_hooks", counted)
     return calls
 
 

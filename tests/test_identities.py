@@ -4,14 +4,11 @@ import pytest
 
 from corepaths.identities import (
     below_count_table,
+    below_sums,
     identity_report,
-    path_prefix_table,
     row_weighted_recurrence_holds,
-    sum_below,
     sum_below_closed,
-    sum_below_times_col,
     sum_below_times_col_closed,
-    sum_below_times_row,
     sum_below_times_row_closed,
     symmetry_holds,
 )
@@ -30,26 +27,28 @@ def test_table_refuses_over_a_million_cells_before_allocating(monkeypatch):
     def allocated(*args):
         raise AssertionError("allocated a table")
 
-    monkeypatch.setattr(identities, "path_prefix_table", allocated)
-    with pytest.raises(ValueError) as err:
-        below_count_table(1001, 1000)
-    assert str(err.value) == (
-        "m*n = 1001000 table cells is over the supported maximum of 10**6"
-    )
-    # exactly 10**6 cells passes the check and reaches the allocation
-    with pytest.raises(AssertionError):
-        below_count_table(1000, 1000)
+    monkeypatch.setattr(identities, "_below_rows", allocated)
+    below_sums.cache_clear()
+    for build in (below_count_table, below_sums):
+        with pytest.raises(ValueError) as err:
+            build(1001, 1000)
+        assert str(err.value) == (
+            "m*n = 1001000 table cells is over the supported maximum of 10**6"
+        )
+        # exactly 10**6 cells passes the check and reaches the allocation
+        with pytest.raises(AssertionError):
+            build(1000, 1000)
 
 
 def test_identity_sweep_cache_stays_small(capsys):
-    # a sweep over m, n <= 30 rereads each table within its last 31, so
-    # 128 cached tables miss once per box
+    # a sweep over m, n <= 30 rereads each box's sums within its last 31
+    # boxes, so 128 cached sums miss once per box
     from corepaths.cli import main
 
-    below_count_table.cache_clear()
+    below_sums.cache_clear()
     assert main(["identities", "--max", "30"]) == 0
     capsys.readouterr()
-    info = below_count_table.cache_info()
+    info = below_sums.cache_info()
     assert info.currsize <= 128
     assert info.misses == 900
 
@@ -68,19 +67,18 @@ def test_table_matches_enumeration_small():
 
 
 def test_table_builds_its_prefix_counts_along_the_long_side(monkeypatch):
-    # a 1 x 1000 box and its transpose read one 2 x 1001 prefix table, not
-    # 1001 lists of two
+    # a 1 x 1000 box and its transpose stream one row of 1000 cells, not
+    # 1000 rows of one
     import corepaths.identities as identities
 
     calls = []
-    build = identities.path_prefix_table
+    rows = identities._below_rows
 
     def spy(a, b):
         calls.append((a, b))
-        return build(a, b)
+        return rows(a, b)
 
-    monkeypatch.setattr(identities, "path_prefix_table", spy)
-    below_count_table.cache_clear()
+    monkeypatch.setattr(identities, "_below_rows", spy)
     for m, n in ((1, 1000), (3, 7)):
         assert below_count_table(n, m) == tuple(zip(*below_count_table(m, n)))
     assert calls == [(1, 1000)] * 2 + [(3, 7)] * 2
@@ -89,10 +87,9 @@ def test_table_builds_its_prefix_counts_along_the_long_side(monkeypatch):
 def _reference_below_count_table(m, n):
     # the height sum: the paths below cell (i, j) cross the strip of column
     # j at some height h <= m - i, a prefix to (j-1, h) and a suffix from (j, h)
-    paths = path_prefix_table(n, m)
     return tuple(
         tuple(
-            sum(paths[j - 1][h] * paths[n - j][m - h] for h in range(m - i + 1))
+            sum(comb(j - 1 + h, h) * comb(n - j + m - h, n - j) for h in range(m - i + 1))
             for j in range(1, n + 1)
         )
         for i in range(1, m + 1)
@@ -111,33 +108,69 @@ def test_table_corner_value_4x5():
     assert below_count_table_by_enumeration(4, 5)[0][0] == 125
 
 
+def _table_sums(f):
+    # the three sums read off a whole table, 1-based row and column weights
+    return (
+        sum(map(sum, f)),
+        sum(i * v for i, row in enumerate(f, start=1) for v in row),
+        sum(j * v for row in f for j, v in enumerate(row, start=1)),
+    )
+
+
+def test_streamed_sums_equal_the_table_sums():
+    boxes = [(m, n) for m in range(1, 13) for n in range(1, 13)] + [(1, 1000), (1000, 1)]
+    for m, n in boxes:
+        assert below_sums(m, n) == _table_sums(below_count_table(m, n)), (m, n)
+
+
+def test_path_count_total_holds_no_table():
+    # the (499, 501) box has 250 x 250 cells of ~150 digits: its table
+    # peaked at 9.8 MiB, two rows of prefix counts take a small fraction
+    import tracemalloc
+
+    from corepaths.enumeration import total_size_from_path_counts
+
+    total_size_from_path_counts(5, 7)  # the first call's one-off allocations
+    below_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        total_size_from_path_counts(499, 501)
+        kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert kept < 2**12  # the cache's entry of three sums, not a table
+
+
 def test_sum_examples():
-    assert sum_below(1, 1) == 1 == sum_below_closed(1, 1)
-    assert sum_below(2, 2) == 12 == comb(4, 2) * 2 * 2 // 2
-    assert sum_below_times_row(2, 3) == 40 == comb(4, 3) * comb(5, 3)
-    assert sum_below_times_col(2, 3) == 50 == comb(5, 3) * comb(5, 4)
+    assert below_sums(1, 1)[0] == 1 == sum_below_closed(1, 1)
+    assert below_sums(2, 2)[0] == 12 == comb(4, 2) * 2 * 2 // 2
+    assert below_sums(2, 3)[1] == 40 == comb(4, 3) * comb(5, 3)
+    assert below_sums(2, 3)[2] == 50 == comb(5, 3) * comb(5, 4)
 
 
 def test_row_weighted_initial_conditions():
     for n in range(1, 12):
-        assert sum_below_times_row(1, n) == comb(n + 1, 2)
+        assert below_sums(1, n)[1] == comb(n + 1, 2)
     for m in range(1, 12):
-        assert sum_below_times_row(m, 1) == comb(m + 2, 3)
+        assert below_sums(m, 1)[1] == comb(m + 2, 3)
 
 
 def test_closed_forms_sweep():
     for m in range(1, 13):
         for n in range(1, 13):
-            assert sum_below(m, n) == sum_below_closed(m, n)
-            assert sum_below_times_row(m, n) == sum_below_times_row_closed(m, n)
-            assert sum_below_times_col(m, n) == sum_below_times_col_closed(m, n)
+            total, by_row, by_col = below_sums(m, n)
+            assert total == sum_below_closed(m, n)
+            assert by_row == sum_below_times_row_closed(m, n)
+            assert by_col == sum_below_times_col_closed(m, n)
             assert symmetry_holds(m, n)
 
 
 def test_row_and_column_sums_are_transposes():
     for m in range(1, 10):
         for n in range(1, 10):
-            assert sum_below_times_col(m, n) == sum_below_times_row(n, m)
+            assert below_sums(m, n)[2] == below_sums(n, m)[1]
             assert below_count_table(n, m) == tuple(
                 zip(*below_count_table(m, n))
             )
@@ -157,7 +190,7 @@ def test_column_pair_total_matches_row_weighted_sum():
     # the triple count computed over explicit box partitions
     for m in range(1, 14):
         for n in range(1, 14 - m + 1):
-            assert column_pair_total(m, n) == sum_below_times_row(m, n)
+            assert column_pair_total(m, n) == below_sums(m, n)[1]
 
 
 def test_identity_report_shape():
@@ -176,4 +209,4 @@ def test_identity_report_shape():
 
 def test_values_exceed_64_bits_at_the_sweep_edge():
     # the m = n = 30 sums genuinely need big integers
-    assert sum_below(30, 30) == comb(60, 30) * 900 // 2 > 2**63
+    assert below_sums(30, 30)[0] == comb(60, 30) * 900 // 2 > 2**63

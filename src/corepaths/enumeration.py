@@ -7,11 +7,12 @@ it as num/den in lowest terms, without importing fractions.  A core's size
 is the largest size minus the array entries above its path, and the rows
 of the above-partition weakly decrease, so the statistics come from a
 staircase fold: a DP over the value of each row, bottom row up, one
-semiring step per cell (``_staircase_fold``).  The path walk stays as its
-independent cross-check: it recurses up the rows, visits every path once,
-and checks its path count against the binomial.  ``verify_pair`` works from
-numbers alone: the rows' closed forms, the below-count table's sums and the
-largest core's hooks, with no array, path or partition object built.
+plain-int loop per row over four int lists (``_staircase_fold``).  The
+path walk stays as its independent cross-check: it recurses up the rows,
+visits every path once, and checks its path count against the binomial.
+``verify_pair`` works from numbers alone: the rows' closed forms, the
+below-count table's sums and the largest core's hooks, with no array, path
+or partition object built.
 """
 
 from __future__ import annotations
@@ -96,13 +97,14 @@ def coprime_pairs(limit: int) -> list[tuple[int, int]]:
     ]
 
 
-def _prefix_rows(params: CoreParams) -> Iterator[tuple[int, ...]]:
-    """The row prefix sums of the (s, t) array, bottom row first, each made
-    when it is read.  Row i is c - s, c - 3s, ..., c - (2n-1)s with
-    c = st - (2i-1)t, so its first k entries sum to k*c - s*k^2."""
+def _prefix_rows(params: CoreParams) -> Iterator[Iterator[int]]:
+    """The row prefix sums of the (s, t) array, bottom row first, each row
+    an iterator whose sums are made as they are read.  Row i is c - s,
+    c - 3s, ..., c - (2n-1)s with c = st - (2i-1)t, so its first k entries
+    sum to k*c - s*k^2."""
     s, t, n = params.s, params.t, params.n
     return (
-        tuple(accumulate(range(c - s, c - (2 * n + 1) * s, -2 * s), initial=0))
+        accumulate(range(c - s, c - (2 * n + 1) * s, -2 * s), initial=0)
         for c in range(s * t - (2 * params.m - 1) * t, s * t, 2 * t)
     )
 
@@ -130,7 +132,7 @@ def fold_path_sizes(s: int, t: int) -> CoreStats:
         params = CoreParams(t, s)
     n = params.n
     top = params.max_core_size
-    *below, first = _prefix_rows(params)  # bottom row first, top row last
+    *below, first = map(tuple, _prefix_rows(params))  # bottom row first, top last
     # a one-row box has a second row held at 0, with that one value
     *below, second = below or [(0,)]
     depth, stop = len(below), len(second)
@@ -162,52 +164,44 @@ def fold_path_sizes(s: int, t: int) -> CoreStats:
     return CoreStats(count, top * count - above_total, top - low, k)
 
 
-def _staircase_fold(rows, width, zero, unit, step):
-    """Fold a semiring over every weakly decreasing sequence
-    n >= mu_1 >= ... >= mu_m >= 0, the above-partitions of the m x n box.
+def _staircase_fold(rows, width: int) -> tuple[int, int, int, int]:
+    """(count, sum of above-sums, least above-sum, how many attain it) over
+    every weakly decreasing sequence n >= mu_1 >= ... >= mu_m >= 0, the
+    above-partitions of the m x n box; a sequence's above-sum adds row i's
+    weight at mu_i.
 
-    rows gives the m weight rows bottom row first, each of ``width`` = n+1
-    weights: row i weighs mu_i = v by its v-th weight.  ``zero`` stands for
-    no sequence and ``unit`` for the empty one.  ``step(running, x, a)``
-    puts a row of weight a on top of every sequence x stands for and
-    merges the result into ``running``, in one call.  After row i, acc[v]
-    stands for every suffix mu_i, ..., mu_m with mu_i <= v, a running
-    prefix over v that row i-1 reads in place, so one row is held at a
-    time.  O(mn) steps, one per cell.
+    rows gives the m weight rows bottom row first, each an iterable of
+    ``width`` = n+1 ints, read once.  One row of state is held, as four int
+    lists: after row i, entry v folds every suffix mu_i, ..., mu_m with
+    mu_i <= v.  Row i-1 rewrites it in place, v ascending, with the running
+    prefix over v in four locals: the suffixes with mu_{i-1} = v are entry
+    v with row i-1's weight at v added, and entry v becomes the prefix
+    merged with them.  O(mn) int operations, no call and no tuple per cell.
     """
-    acc = [unit] * width
+    count, total, least, ties = [1] * width, [0] * width, [0] * width, [1] * width
     for row in rows:
-        running = zero
-        for v in range(width):
-            running = acc[v] = step(running, acc[v], row[v])
-    return acc[-1]
-
-
-# The size semiring: (paths, sum of their above-sums, least above-sum, how
-# many paths attain it).  The above-sum is what a path's core lacks of the
-# largest core.  Zero's least above-sum is inf, so each row's first step
-# replaces it and only ints leave the fold.
-_SIZE_ZERO = (0, 0, math.inf, 0)
-_SIZE_UNIT = (1, 0, 0, 1)
-
-
-def _size_step(running, x, a):
-    rc, rt, rl, rk = running
-    c, total, low, k = x
-    low += a
-    if low > rl:
-        return (rc + c, rt + total + a * c, rl, rk)
-    if low < rl:
-        return (rc + c, rt + total + a * c, low, k)
-    return (rc + c, rt + total + a * c, low, rk + k)
+        rc, rt, rl, rk = 0, 0, math.inf, 0  # no sequence yet: v = 0 replaces the inf
+        for v, a in enumerate(row):
+            c = count[v]
+            rc += c
+            rt += total[v] + a * c
+            low = least[v] + a
+            if low < rl:
+                rl = low
+                rk = ties[v]
+            elif low == rl:
+                rk += ties[v]
+            count[v] = rc
+            total[v] = rt
+            least[v] = rl
+            ties[v] = rk
+    return count[-1], total[-1], least[-1], ties[-1]
 
 
 def _staircase_sizes(params: CoreParams) -> CoreStats:
     """What ``fold_path_sizes`` computes, by the staircase fold over the
     array's row prefix sums in O(mn) steps instead of one per path."""
-    count, above, low, k = _staircase_fold(
-        _prefix_rows(params), params.n + 1, _SIZE_ZERO, _SIZE_UNIT, _size_step
-    )
+    count, above, low, k = _staircase_fold(_prefix_rows(params), params.n + 1)
     top = params.max_core_size
     return CoreStats(count, top * count - above, top - low, k)
 

@@ -11,7 +11,7 @@ the weighted sums overflow 64 bits well before the m, n <= 30 sweep ends.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from math import comb
 from operator import add, mul, sub
 
@@ -109,14 +109,18 @@ def row_weighted_recurrence_holds(m: int, n: int) -> bool:
 
 def symmetry_holds(m: int, n: int) -> bool:
     """Complementary cells partition the path set: table[i][j] plus
-    table[m-i+1][n-j+1] must equal C(m+n, m) everywhere.  Mirrored rows are
-    paired, so the rows are read as made: bottom first, a tall box's wide."""
+    table[m-i+1][n-j+1] must equal C(m+n, m) everywhere.  The rows are read
+    as made, bottom first, a tall box's wide; the bottom half is held and
+    each later row is compared once with its mirror."""
     _check_box(m, n)
-    f = tuple(_below_rows(min(m, n), max(m, n)))
+    a = min(m, n)
+    rows = _below_rows(a, max(m, n))
+    held = list(islice(rows, a // 2))
+    if a % 2:  # the middle row is its own mirror
+        held.append(next(rows))
+        rows = chain(held[-1:], rows)
     full = comb(m + n, m)
-    return all(
-        x + y == full for row, mirror in zip(f, reversed(f)) for x, y in zip(row, reversed(mirror))
-    )
+    return all(x + y == full for row in rows for x, y in zip(row, reversed(held.pop())))
 
 
 def identity_report(m: int, n: int) -> dict:

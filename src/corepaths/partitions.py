@@ -111,10 +111,10 @@ class Partition(Value):
                 cols[j] += 1
         return Partition(tuple(cols))
 
-    def _self_conjugate_durfee(self) -> int | None:
-        """The Durfee side d if the partition is self-conjugate, else None:
-        each row of the Durfee square is compared with its column count,
-        stopping at the first mismatch, and no conjugate is built.
+    def _self_conjugate_hooks(self) -> tuple[int, ...] | None:
+        """The diagonal hooks if the partition is self-conjugate, else None:
+        each row j of the Durfee square is compared with its column count,
+        stopping at the first mismatch, and gives the hook 2*(rows_j - j) + 1.
 
         Those rows suffice: the partition is fixed by its Frobenius
         coordinates (rows_j - j, cols_j - j) for j <= d, and conjugation
@@ -122,22 +122,24 @@ class Partition(Value):
         for every j <= d.
         """
         rows = self.rows
+        hooks = []
         # c counts the rows reaching column j.  At j = 1 that is all of them,
         # so the loop goes on only if rows[0] = len(rows), and rows[0] >= j
         # then keeps c >= 1
         c = len(rows)
         for j, r in enumerate(rows, start=1):
             if r < j:  # past the Durfee square
-                return j - 1
+                break
             while rows[c - 1] < j:
                 c -= 1
             if r != c:
                 return None
-        return len(rows)
+            hooks.append(2 * (r - j) + 1)
+        return tuple(hooks)
 
     def is_self_conjugate(self) -> bool:
         """Whether the partition is its own conjugate: one Durfee-square walk."""
-        return self._self_conjugate_durfee() is not None
+        return self._self_conjugate_hooks() is not None
 
     def contains(self, inner: "Partition") -> bool:
         """Containment order: every row of ``inner`` fits inside this one."""
@@ -155,12 +157,12 @@ class Partition(Value):
         """Hook lengths of the main diagonal cells, strictly decreasing.
 
         Only defined for self-conjugate partitions, where every diagonal
-        hook is odd: the hook of (i, i) is 2*(rows[i] - i) + 1.
+        hook is odd; read off the self-conjugacy walk.
         """
-        d = self._self_conjugate_durfee()
-        if d is None:
+        hooks = self._self_conjugate_hooks()
+        if hooks is None:
             raise ValueError("diagonal hooks require a self-conjugate partition")
-        return tuple([2 * (r - i) + 1 for i, r in enumerate(self.rows[:d], 1)])
+        return hooks
 
     def ferrers(self) -> str:
         """One line of box glyphs per row; the empty partition is '(empty)'."""

@@ -212,7 +212,7 @@ def test_largest_reads_its_hooks_off_the_empty_path(capsys, monkeypatch):
         raise AssertionError("self-conjugacy loop run")
 
     monkeypatch.setattr(Partition, "is_self_conjugate", refuse)
-    monkeypatch.setattr(Partition, "_self_conjugate_durfee", refuse)
+    monkeypatch.setattr(Partition, "_self_conjugate_hooks", refuse)
     code, out, _ = run(capsys, "largest", "--s", "8", "--t", "11")
     assert code == 0
     payload = json.loads(out)

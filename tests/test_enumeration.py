@@ -113,7 +113,7 @@ def test_prefix_rows_are_the_array_row_prefix_sums():
     for s in range(2, 22):
         for t in range(2, 22):
             if s != t and gcd(s, t) == 1:
-                rows = list(enumeration._prefix_rows(CoreParams(s, t)))
+                rows = list(map(tuple, enumeration._prefix_rows(CoreParams(s, t))))
                 expected = [tuple(accumulate(row, initial=0)) for row in build_array(s, t).entries]
                 assert rows[::-1] == expected, (s, t)
 
@@ -151,7 +151,7 @@ def test_stats_never_build_the_array(monkeypatch):
 
 def test_stats_hold_one_row_at_a_time():
     # the (501, 503) box has 250 x 251 cells; the fold keeps one row of 252
-    # semiring values, and nothing once it returns
+    # values in each of its four int lists, and nothing once it returns
     import gc
     import tracemalloc
 
@@ -176,51 +176,41 @@ def test_staircase_fold_on_tied_weights():
     import random
 
     rng = random.Random(6)
-    for m in range(1, 5):
-        for n in range(1, 5):
+    for m in range(1, 6):
+        for n in range(1, 6):
             for _ in range(5):
                 weights = [[rng.randint(-2, 2) for _ in range(n + 1)] for _ in range(m)]
                 above = [
                     sum(row[v] for row, v in zip(weights, mu))
                     for mu in iter_box_partitions(m, n)
                 ]
-                assert enumeration._staircase_fold(
-                    weights[::-1],
-                    n + 1,
-                    enumeration._SIZE_ZERO,
-                    enumeration._SIZE_UNIT,
-                    enumeration._size_step,
-                ) == (len(above), sum(above), min(above), above.count(min(above)))
-
-
-def test_staircase_fold_lists_every_sequence_once():
-    # a listing semiring, apart from the size one: zero lists no sequence,
-    # unit the empty one, and a step puts row value a on top of each listed
-    # suffix.  Row weights v make each listed tuple the sequence itself
-    def step(running, x, a):
-        return running + [(a, *q) for q in x]
-
-    for m in range(1, 6):
-        for n in range(1, 6):
-            listed = enumeration._staircase_fold([range(n + 1)] * m, n + 1, [], [()], step)
-            assert sorted(listed) == sorted(iter_box_partitions(m, n)), (m, n)
+                assert enumeration._staircase_fold(weights[::-1], n + 1) == (
+                    len(above),
+                    sum(above),
+                    min(above),
+                    above.count(min(above)),
+                ), (m, n)
 
 
 def test_staircase_fold_takes_one_step_per_cell():
-    # the 7 x 9 box of (15, 19): m rows of n + 1 cells, one step each
-    calls = 0
-
-    def step(running, x, a):
-        nonlocal calls
-        calls += 1
-        return enumeration._size_step(running, x, a)
-
+    # the 7 x 9 box of (15, 19): m rows of n + 1 cells, each row read once,
+    # one value per cell
     params = CoreParams(15, 19)
     m, n = params.m, params.n
     assert (m, n) == (7, 9)
-    rows = enumeration._prefix_rows(params)
-    enumeration._staircase_fold(rows, n + 1, enumeration._SIZE_ZERO, enumeration._SIZE_UNIT, step)
-    assert calls == m * (n + 1)
+    reads = []
+
+    def counted(row):
+        reads.append(0)
+        for a in row:
+            reads[-1] += 1
+            yield a
+
+    rows = (counted(row) for row in enumeration._prefix_rows(params))
+    expected = enumeration._staircase_fold(map(tuple, enumeration._prefix_rows(params)), n + 1)
+    assert enumeration._staircase_fold(rows, n + 1) == expected
+    assert reads == [n + 1] * m
+    assert sum(reads) == m * (n + 1) == 70
 
 
 @pytest.mark.parametrize("s, t", [(101, 103), (501, 503)])

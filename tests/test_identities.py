@@ -167,6 +167,28 @@ def test_closed_forms_sweep():
             assert symmetry_holds(m, n)
 
 
+def test_symmetry_compares_every_row_with_its_mirror(monkeypatch):
+    # half the rows are held: a changed entry must still be seen in every
+    # row, the middle row of an odd count included, in either order
+    import corepaths.identities as identities
+
+    for m in range(1, 13):
+        for n in range(1, 13):
+            assert symmetry_holds(m, n), (m, n)
+    rows_of = identities._below_rows
+    for a, b in ((5, 7), (6, 7)):
+        for k in range(a):
+            for j in range(b):
+
+                def off_by_one(a, b, k=k, j=j):
+                    for i, row in enumerate(rows_of(a, b)):
+                        yield row[:j] + (row[j] + 1,) + row[j + 1 :] if i == k else row
+
+                monkeypatch.setattr(identities, "_below_rows", off_by_one)
+                assert not symmetry_holds(a, b), (a, b, k, j)
+                assert not symmetry_holds(b, a), (b, a, k, j)
+
+
 def test_row_and_column_sums_are_transposes():
     for m in range(1, 10):
         for n in range(1, 10):

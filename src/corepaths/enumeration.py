@@ -7,19 +7,19 @@ it as num/den in lowest terms, without importing fractions.  A core's size
 is the largest size minus the array entries above its path, and the rows
 of the above-partition weakly decrease, so the statistics come from a
 staircase fold: a DP over the value of each row, bottom row up, one
-plain-int loop per row over four int lists (``_staircase_fold``).  The
-path walk stays as its independent cross-check: it recurses up the rows,
-visits every path once, and checks its path count against the binomial.
-``verify_pair`` works from numbers alone: the rows' closed forms, the
-below-count table's sums and the largest core's hooks, with no array, path
-or partition object built.
+plain-int loop per row summing the row's arithmetic progression as it goes
+(``_staircase_fold``).  The path walk stays as its independent check: it
+recurses up the rows, visits every path once, and checks its path count
+against the binomial.  ``verify_pair`` works from numbers alone: the rows'
+closed forms, the below-count table's sums and the largest core's hooks,
+with no array, path or partition object built.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .bijection import (
     DEFAULT_PATH_BUDGET,
@@ -97,16 +97,12 @@ def coprime_pairs(limit: int) -> list[tuple[int, int]]:
     ]
 
 
-def _prefix_rows(params: CoreParams) -> Iterator[Iterator[int]]:
-    """The row prefix sums of the (s, t) array, bottom row first, each row
-    an iterator whose sums are made as they are read.  Row i is c - s,
-    c - 3s, ..., c - (2n-1)s with c = st - (2i-1)t, so its first k entries
-    sum to k*c - s*k^2."""
-    s, t, n = params.s, params.t, params.n
-    return (
-        accumulate(range(c - s, c - (2 * n + 1) * s, -2 * s), initial=0)
-        for c in range(s * t - (2 * params.m - 1) * t, s * t, 2 * t)
-    )
+def _row_progressions(params: CoreParams) -> Iterator[tuple[int, int]]:
+    """The rows of the (s, t) array, bottom row first, each an arithmetic
+    progression as (first entry, step).  Row i is c - s, c - 3s, ...,
+    c - (2n-1)s with c = st - (2i-1)t: first entry c - s, step -2s."""
+    s, t = params.s, params.t
+    return zip(range(s * t - s - (2 * params.m - 1) * t, s * t - s, 2 * t), repeat(-2 * s))
 
 
 def fold_path_sizes(s: int, t: int) -> CoreStats:
@@ -132,7 +128,8 @@ def fold_path_sizes(s: int, t: int) -> CoreStats:
         params = CoreParams(t, s)
     n = params.n
     top = params.max_core_size
-    *below, first = map(tuple, _prefix_rows(params))  # bottom row first, top last
+    rows = _row_progressions(params)  # bottom row first, top last
+    *below, first = [tuple(accumulate(range(e, e + n * d, d), initial=0)) for e, d in rows]
     # a one-row box has a second row held at 0, with that one value
     *below, second = below or [(0,)]
     depth, stop = len(below), len(second)
@@ -167,21 +164,20 @@ def fold_path_sizes(s: int, t: int) -> CoreStats:
 def _staircase_fold(rows, width: int) -> tuple[int, int, int, int]:
     """(count, sum of above-sums, least above-sum, how many attain it) over
     every weakly decreasing sequence n >= mu_1 >= ... >= mu_m >= 0, the
-    above-partitions of the m x n box; a sequence's above-sum adds row i's
-    weight at mu_i.
+    above-partitions of the m x n box; a sequence's above-sum adds the first
+    mu_i entries of each row i.  ``rows`` gives the m rows bottom row first
+    as (first entry, step) pairs, read once; ``width`` is n+1.
 
-    rows gives the m weight rows bottom row first, each an iterable of
-    ``width`` = n+1 ints, read once.  One row of state is held, as four int
-    lists: after row i, entry v folds every suffix mu_i, ..., mu_m with
-    mu_i <= v.  Row i-1 rewrites it in place, v ascending, with the running
-    prefix over v in four locals: the suffixes with mu_{i-1} = v are entry
-    v with row i-1's weight at v added, and entry v becomes the prefix
-    merged with them.  O(mn) int operations, no call and no tuple per cell.
-    """
+    One row of state is held, as four int lists: after row i, entry v folds
+    every suffix mu_i, ..., mu_m with mu_i <= v.  Row i-1 rewrites it in
+    place, v ascending, with the running prefix over v in four locals and
+    its first v entries summed in a (e the next): the suffixes with
+    mu_{i-1} = v are entry v with a added, and entry v becomes the prefix
+    merged with them.  O(mn) int operations, no call or tuple per cell."""
     count, total, least, ties = [1] * width, [0] * width, [0] * width, [1] * width
-    for row in rows:
-        rc, rt, rl, rk = 0, 0, math.inf, 0  # no sequence yet: v = 0 replaces the inf
-        for v, a in enumerate(row):
+    for e, d in rows:
+        a, rc, rt, rl, rk = 0, 0, 0, math.inf, 0  # no sequence yet: v = 0 replaces the inf
+        for v in range(width):
             c = count[v]
             rc += c
             rt += total[v] + a * c
@@ -195,13 +191,15 @@ def _staircase_fold(rows, width: int) -> tuple[int, int, int, int]:
             total[v] = rt
             least[v] = rl
             ties[v] = rk
+            a += e
+            e += d
     return count[-1], total[-1], least[-1], ties[-1]
 
 
 def _staircase_sizes(params: CoreParams) -> CoreStats:
     """What ``fold_path_sizes`` computes, by the staircase fold over the
-    array's row prefix sums in O(mn) steps instead of one per path."""
-    count, above, low, k = _staircase_fold(_prefix_rows(params), params.n + 1)
+    array's row progressions in O(mn) steps instead of one per path."""
+    count, above, low, k = _staircase_fold(_row_progressions(params), params.n + 1)
     top = params.max_core_size
     return CoreStats(count, top * count - above, top - low, k)
 

@@ -62,25 +62,27 @@ def below_count_table(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     return rows if m <= n else tuple(zip(*rows))
 
 
-@lru_cache(maxsize=128)
 def below_sums(m: int, n: int) -> tuple[int, int, int]:
     """(sum of f, of i * f, of j * f) over the 1-based cells (i, j) of the
-    m x n box's below-count table f, folded as its rows pass.  A tall box
-    reads its transpose, with the weighted sums swapped.
-
-    Cached: an identity report reads its box and the boxes one row and one
-    column smaller, among the last MAX + 1 of a sweep over m, n <= MAX, so
-    128 entries of three ints miss once per box up to ``--max 127``.
-    """
+    m x n box's below-count table f.  A tall box reads its transpose's,
+    with the weighted sums swapped."""
     _check_box(m, n)
-    a, b = min(m, n), max(m, n)
+    total, x, y = _wide_below_sums(min(m, n), max(m, n))
+    return (total, x, y) if m <= n else (total, y, x)
+
+
+@lru_cache(maxsize=128)
+def _wide_below_sums(a: int, b: int) -> tuple[int, int, int]:
+    """``below_sums`` of the a x b box, a <= b, folded as its rows pass;
+    cached by the wide box, so a box and its transpose share an entry: up to
+    ``--max 127`` a sweep folds each box at most once per orientation."""
     total = by_row = by_col = 0
     for i, row in zip(range(a, 0, -1), _below_rows(a, b)):
         row_sum = sum(row)
         total += row_sum
         by_row += i * row_sum
         by_col += sum(map(mul, row, range(1, b + 1)))
-    return (total, by_row, by_col) if m <= n else (total, by_col, by_row)
+    return total, by_row, by_col
 
 
 def sum_below_closed(m: int, n: int) -> int:

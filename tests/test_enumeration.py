@@ -104,18 +104,20 @@ def test_staircase_fold_equals_path_walk():
                 assert stats == fold_path_sizes(s, t), (s, t)
 
 
-def test_prefix_rows_are_the_array_row_prefix_sums():
-    # the closed-form rows, bottom row first, against the built array's
-    from itertools import accumulate
-
+def test_row_progressions_are_the_array_rows():
+    # each (first entry, step) pair, bottom row first, expands to the built
+    # array's row
     from corepaths import build_array
 
     for s in range(2, 22):
         for t in range(2, 22):
             if s != t and gcd(s, t) == 1:
-                rows = list(map(tuple, enumeration._prefix_rows(CoreParams(s, t))))
-                expected = [tuple(accumulate(row, initial=0)) for row in build_array(s, t).entries]
-                assert rows[::-1] == expected, (s, t)
+                n = t // 2
+                rows = [
+                    tuple(range(e, e + n * d, d))
+                    for e, d in enumeration._row_progressions(CoreParams(s, t))
+                ]
+                assert rows[::-1] == list(build_array(s, t).entries), (s, t)
 
 
 def test_stats_build_their_params_once(monkeypatch):
@@ -171,20 +173,21 @@ def test_stats_hold_one_row_at_a_time():
 
 
 def test_staircase_fold_on_tied_weights():
-    # core sizes never tie at the maximum, so small random weights with many
-    # ties check the multiplicity of the minimum against every sequence
+    # core sizes never tie at the maximum, so small random progressions with
+    # many ties (a step of 0 makes a constant row) check the multiplicity of
+    # the minimum against every sequence
     import random
 
     rng = random.Random(6)
     for m in range(1, 6):
         for n in range(1, 6):
             for _ in range(5):
-                weights = [[rng.randint(-2, 2) for _ in range(n + 1)] for _ in range(m)]
+                rows = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(m)]
                 above = [
-                    sum(row[v] for row, v in zip(weights, mu))
+                    sum(e + k * d for (e, d), v in zip(rows, mu) for k in range(v))
                     for mu in iter_box_partitions(m, n)
                 ]
-                assert enumeration._staircase_fold(weights[::-1], n + 1) == (
+                assert enumeration._staircase_fold(rows[::-1], n + 1) == (
                     len(above),
                     sum(above),
                     min(above),
@@ -193,24 +196,22 @@ def test_staircase_fold_on_tied_weights():
 
 
 def test_staircase_fold_takes_one_step_per_cell():
-    # the 7 x 9 box of (15, 19): m rows of n + 1 cells, each row read once,
-    # one value per cell
+    # the 7 x 9 box of (15, 19): the fold reads m (first entry, step) pairs,
+    # each once, and sums each row's prefix itself
     params = CoreParams(15, 19)
     m, n = params.m, params.n
     assert (m, n) == (7, 9)
+    pairs = list(enumeration._row_progressions(params))
     reads = []
 
-    def counted(row):
-        reads.append(0)
-        for a in row:
-            reads[-1] += 1
-            yield a
+    def counted():
+        for pair in pairs:
+            reads.append(pair)
+            yield pair
 
-    rows = (counted(row) for row in enumeration._prefix_rows(params))
-    expected = enumeration._staircase_fold(map(tuple, enumeration._prefix_rows(params)), n + 1)
-    assert enumeration._staircase_fold(rows, n + 1) == expected
-    assert reads == [n + 1] * m
-    assert sum(reads) == m * (n + 1) == 70
+    assert enumeration._staircase_fold(counted(), n + 1) == enumeration._staircase_fold(pairs, n + 1)
+    assert reads == pairs
+    assert len(reads) == m == 7
 
 
 @pytest.mark.parametrize("s, t", [(101, 103), (501, 503)])

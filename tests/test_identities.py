@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from corepaths.identities import (
+    _wide_below_sums,
     below_count_table,
     below_sums,
     identity_report,
@@ -28,7 +29,7 @@ def test_table_refuses_over_a_million_cells_before_allocating(monkeypatch):
         raise AssertionError("allocated a table")
 
     monkeypatch.setattr(identities, "_below_rows", allocated)
-    below_sums.cache_clear()
+    _wide_below_sums.cache_clear()
     for build in (below_count_table, below_sums):
         with pytest.raises(ValueError) as err:
             build(1001, 1000)
@@ -42,15 +43,38 @@ def test_table_refuses_over_a_million_cells_before_allocating(monkeypatch):
 
 def test_identity_sweep_cache_stays_small(capsys):
     # a sweep over m, n <= 30 rereads each box's sums within its last 31
-    # boxes, so 128 cached sums miss once per box
+    # boxes, and the cache keys a box and its transpose as one wide box: the
+    # 465 wide boxes a <= b <= 30 miss when first read, and a tall box
+    # (m, n) misses once more when its wide twin has left the 128 entries,
+    # which is when m - n >= 5: 325 more, the sum of 30 - d over d = 5..29
     from corepaths.cli import main
 
-    below_sums.cache_clear()
+    _wide_below_sums.cache_clear()
     assert main(["identities", "--max", "30"]) == 0
     capsys.readouterr()
-    info = below_sums.cache_info()
+    info = _wide_below_sums.cache_info()
     assert info.currsize <= 128
-    assert info.misses == 900
+    assert info.misses == 465 + 325 == 790
+
+
+def test_square_report_folds_each_box_once(monkeypatch):
+    # the recurrence reads the (m-1, m) and (m, m-1) boxes, one box and its
+    # transpose, so their rows are made once; the (m, m) rows are made for
+    # the sums and again for the symmetry check
+    import corepaths.identities as identities
+
+    made = []
+    rows = identities._below_rows
+
+    def spy(a, b):
+        made.append((a, b))
+        return rows(a, b)
+
+    monkeypatch.setattr(identities, "_below_rows", spy)
+    _wide_below_sums.cache_clear()
+    report = identity_report(300, 300)
+    assert all(report[key] for key in report if key.endswith("_ok"))
+    assert made == [(300, 300), (300, 300), (299, 300)]
 
 
 def test_table_validation():
@@ -131,7 +155,7 @@ def test_path_count_total_holds_no_table():
     from corepaths.enumeration import total_size_from_path_counts
 
     total_size_from_path_counts(5, 7)  # the first call's one-off allocations
-    below_sums.cache_clear()
+    _wide_below_sums.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

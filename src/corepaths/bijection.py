@@ -29,7 +29,7 @@ from .partitions import Partition, Value, _set, partition_from_diagonal_hooks, v
 # s*t/4 entries and the largest core about (s*t)^2/24 cells.
 _MAX_ST = 2**31
 # Cap on the m*n cells of a built array, and of a box whose below-count
-# rows ``identities`` streams, whether it folds them or keeps the table.
+# rows ``identities`` streams.
 _MAX_CELLS = 10**6
 # Cap on the rows a job may hold: its core count times the (s-1)(t-1)/2
 # rows of the largest core, which contains every (s, t)-core.
@@ -128,21 +128,27 @@ class CoreParams(Value):
     def n(self) -> int:
         return self.t // 2
 
+    @property
+    def _row_firsts(self) -> range:
+        """Each array row's first entry st - s - (2i-1)t, top row first, as
+        a range falling by 2t; row i then runs e, e - 2s, ... for n entries.
+        The one statement of the rows outside ``build_array``; made on each
+        read, in O(1)."""
+        a11 = self.s * self.t - self.s - self.t
+        return range(a11, a11 - self.m * 2 * self.t, -2 * self.t)
+
     def _row_table(self) -> tuple[range, tuple[int, ...], int]:
-        """Each row's first entry st - s - (2i-1)t, top row first; each
-        row's positive count ceil(e/2s) for that first entry e; and
-        t^-1 mod s.  Built on the first call and kept: O(m) ints, held only
-        as long as these params.  Threads racing to build it build equal
-        tables, so either one's may stay."""
+        """``_row_firsts``; each row's positive count ceil(e/2s) for its
+        first entry e; and t^-1 mod s.  Built on the first call and kept:
+        O(m) ints, held only as long as these params.  Threads racing to
+        build it build equal tables, so either one's may stay."""
         try:
             return self._rows
         except AttributeError:
             pass
-        s, t = self.s, self.t
-        s2 = 2 * s
-        a11 = s * t - s - t
-        firsts = range(a11, a11 - (s // 2) * 2 * t, -2 * t)
-        table = firsts, tuple([(e + s2 - 1) // s2 for e in firsts]), pow(t, -1, s)
+        s2 = 2 * self.s
+        firsts = self._row_firsts
+        table = firsts, tuple([(e + s2 - 1) // s2 for e in firsts]), pow(self.t, -1, self.s)
         _set(self, "_rows", table)
         return table
 
@@ -283,21 +289,22 @@ class LatticePath(Value):
 
 def _row_hooks(params: CoreParams, cuts) -> list[int]:
     """Diagonal hooks of the path with cuts[i] cells above it in row i + 1,
-    unsorted, from the arithmetic of the array alone; ``cuts`` has one
-    entry per row.
+    sorted in decreasing order, from the arithmetic of the array alone;
+    ``cuts`` has one entry per row.
 
-    Row i runs e, e - 2s, ..., with e = st - s - (2i-1)t, falling from
-    positive to negative, so its first p = ceil(e/2s) entries are its
-    positives; t - s <= e <= st - s - t puts p in [0, n] unclamped.  Both e
-    and p come from the params' row table.  Cut at k, the row carries its
-    positives from k on, or the |negatives| left of k: one progression of
-    step 2s either way.
+    Row i runs e, e - 2s, ..., from its first entry e in
+    ``CoreParams._row_firsts``, falling from positive to negative, so its
+    first p = ceil(e/2s) entries are its positives; t - s <= e <= st - s - t
+    puts p in [0, n] unclamped.  Both e and p come from the params' row
+    table.  Cut at k, the row carries its positives from k on, or the
+    |negatives| left of k: one progression of step 2s either way.
     """
     s2 = 2 * params.s
     firsts, positives, _ = params._row_table()
     hooks = []
     for k, e, p in zip(cuts, firsts, positives, strict=True):
         hooks += range(e - s2 * k, e - s2 * p, -s2) if k < p else range(s2 * p - e, s2 * k - e, s2)
+    hooks.sort(reverse=True)
     return hooks
 
 
@@ -359,8 +366,7 @@ def path_from_core(p: Partition, params: CoreParams) -> LatticePath:
             cuts[r >> 1] += 1
         else:
             raise ValueError(f"not in the bijection image: {p}")
-    placed = sorted(_row_hooks(params, cuts), reverse=True)
-    if cuts != sorted(cuts, reverse=True) or placed != list(hooks):
+    if cuts != sorted(cuts, reverse=True) or _row_hooks(params, cuts) != list(hooks):
         raise ValueError(f"not in the bijection image: {p}")
     return LatticePath(s // 2, t // 2, Partition(tuple(filter(None, cuts))))
 
@@ -369,7 +375,7 @@ def largest_hooks(params: CoreParams) -> list[int]:
     """Diagonal hooks of the largest (s, t)-core, decreasing: the hook set
     of the path hugging the left and top borders (mu empty), all positive
     array entries."""
-    return sorted(_row_hooks(params, [0] * params.m), reverse=True)
+    return _row_hooks(params, [0] * params.m)
 
 
 def largest_core(params: CoreParams) -> Partition:

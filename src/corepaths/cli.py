@@ -158,7 +158,7 @@ def _run_map(args):
     params = CoreParams(args.s, args.t)
     check_listing(params)
     path = _parse_path(args.path, params.m, params.n)
-    hooks = sorted(_row_hooks(params, _path_cuts(path, params)), reverse=True)
+    hooks = _row_hooks(params, _path_cuts(path, params))
     core = partition_from_diagonal_hooks(hooks)
     return 0, {**_path_payload(params, path, core), "hooks": hooks, "size": core.size}
 
@@ -179,15 +179,15 @@ def _map_text(p) -> str:
     core = Partition(p["partition"])
     lines = [f"path mu={p['mu']} steps={p['steps']}", f"partition {core} size={p['size']}",
              f"diagonal hooks {p['hooks']}"]
-    s, t, m, n = p["s"], p["t"], p["m"], p["n"]
+    s, n = p["s"], p["n"]
+    firsts = CoreParams(s, p["t"])._row_firsts
     # the widest entry is the top-left (largest) or bottom-right (least) one
-    a11 = s * t - s - t
-    w = max(len(str(a11)), len(str(a11 - 2 * s * (n - 1) - 2 * t * (m - 1))))
+    w = max(len(str(firsts[0])), len(str(firsts[-1] - 2 * s * (n - 1))))
     # the array is shown only when it fits the terminal
     if n * (w + 3) <= shutil.get_terminal_size().columns:
         lines.append("array (above-path cells bracketed):")
-        for i, above in enumerate(p["mu"] + [0] * (m - len(p["mu"]))):
-            row = range(a11 - 2 * t * i, a11 - 2 * t * i - 2 * s * n, -2 * s)
+        for e, above in zip(firsts, p["mu"] + [0] * (p["m"] - len(p["mu"]))):
+            row = range(e, e - 2 * s * n, -2 * s)
             cells = (f"[{v:>{w}}]" if j < above else f" {v:>{w}} " for j, v in enumerate(row))
             lines.append(" ".join(cells))
     lines.append(_ferrers(core))

@@ -99,10 +99,9 @@ def coprime_pairs(limit: int) -> list[tuple[int, int]]:
 
 def _row_progressions(params: CoreParams) -> Iterator[tuple[int, int]]:
     """The rows of the (s, t) array, bottom row first, each an arithmetic
-    progression as (first entry, step).  Row i is c - s, c - 3s, ...,
-    c - (2n-1)s with c = st - (2i-1)t: first entry c - s, step -2s."""
-    s, t = params.s, params.t
-    return zip(range(s * t - s - (2 * params.m - 1) * t, s * t - s, 2 * t), repeat(-2 * s))
+    progression as (first entry, step): the first entries of
+    ``CoreParams._row_firsts``, reversed, each with step -2s."""
+    return zip(reversed(params._row_firsts), repeat(-2 * params.s))
 
 
 def fold_path_sizes(s: int, t: int) -> CoreStats:
@@ -269,7 +268,7 @@ def _largest_excess(params: CoreParams, outer: Sequence[int]) -> int:
     best, size = 0, len(outer)
     for cuts in ((0,) * m, (n,) * m):
         k = 0
-        for i, h in enumerate(sorted(_row_hooks(params, cuts), reverse=True), 1):
+        for i, h in enumerate(_row_hooks(params, cuts), 1):
             # i hooks of the corner's set are >= h, and k of outer's
             while k < size and outer[k] >= h:
                 k += 1

@@ -4,8 +4,9 @@ The central object is the table whose (i, j) entry counts the monotone
 lower-left to upper-right paths lying below cell (i, j), i.e. the paths
 whose above-partition mu has mu_i >= j.  ``_below_rows`` streams its rows
 bottom up from two rows of prefix counts; ``below_sums`` folds them and
-``below_count_table`` keeps them.  All arithmetic is plain Python integers:
-the weighted sums overflow 64 bits well before the m, n <= 30 sweep ends.
+``symmetry_holds`` compares each with its mirror, so no table is kept.
+All arithmetic is plain Python integers: the weighted sums overflow 64
+bits well before the m, n <= 30 sweep ends.
 """
 
 from __future__ import annotations
@@ -47,19 +48,6 @@ def _below_rows(a: int, b: int):
         back = tuple(map(sub, back, (0, *back)))
         below = tuple(map(add, below, map(mul, ahead, reversed(back))))
         yield below
-
-
-def below_count_table(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Table (1-based cells stored 0-based) counting, for each cell (i, j),
-    the paths in the m x n box that pass below it.
-
-    Cell (i, j) of the box is cell (j, i) of the transposed box, so the
-    rows are made along the long side and a tall box's table is transposed.
-    Refused by ``_check_box`` before any row is made.
-    """
-    _check_box(m, n)
-    rows = tuple(_below_rows(min(m, n), max(m, n)))[::-1]
-    return rows if m <= n else tuple(zip(*rows))
 
 
 def below_sums(m: int, n: int) -> tuple[int, int, int]:

@@ -37,9 +37,10 @@ from .partitions import Partition, Value, _set
 
 
 def _is_core(p: Partition, s: int, t: int) -> bool:
-    """True when no cell of ``p`` has hook length s or t: ``is_t_core`` for
-    both hooks, reading the first-column hooks b as bytes b of one int,
-    shifted down by bytes s and t: each b - h >= 0 must be a hook (never 0)."""
+    """True when no cell of ``p`` has hook length s or t.  A cell of hook
+    length h pairs a first-column hook b with b - h >= 0 outside the set
+    (0 never in it), so each such b - h must be a hook: read with the hooks
+    b as bytes b of one int, shifted down by bytes s and t."""
     hooks = p.first_column_hooks()
     flags = bytearray(hooks[0] + 1 if hooks else 1)
     for b in hooks:

@@ -1,4 +1,5 @@
-"""Integer partitions: Ferrers geometry, hooks, conjugation, t-cores.
+"""Integer partitions: Ferrers geometry, first-column and diagonal hooks,
+self-conjugacy and containment.
 
 Partitions are immutable values and every function here is pure, so all of
 this is safe to share freely between threads.
@@ -97,20 +98,6 @@ class Partition(Value):
     def __iter__(self) -> Iterator[int]:
         return iter(self.rows)
 
-    def row(self, i: int) -> int:
-        """Length of row i (1-based); 0 beyond the last row."""
-        return self.rows[i - 1] if 1 <= i <= len(self.rows) else 0
-
-    def conjugate(self) -> "Partition":
-        """Transpose across the main diagonal."""
-        if not self.rows:
-            return Partition()
-        cols = [0] * self.rows[0]
-        for r in self.rows:
-            for j in range(r):
-                cols[j] += 1
-        return Partition(tuple(cols))
-
     def _self_conjugate_hooks(self) -> tuple[int, ...] | None:
         """The diagonal hooks if the partition is self-conjugate, else None:
         each row j of the Durfee square is compared with its column count,
@@ -172,21 +159,6 @@ class Partition(Value):
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(r) for r in self.rows) + ")"
-
-
-def is_t_core(p: Partition, t: int) -> bool:
-    """True when no cell of ``p`` has hook length exactly ``t``.
-
-    Uses the first-column hook shortcut: a hook of length t exists in row i
-    exactly when b - t is a non-negative value missing from the first-column
-    hook set, for b the first-column hook of row i.  Agrees with the literal
-    all-cells scan of ``tests/_reference.py``; the agreement is exercised
-    in the tests rather than assumed.
-    """
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
-    hooks = set(p.first_column_hooks())
-    return hooks.issuperset([b - t for b in hooks if b >= t])
 
 
 def validate_hook_set(hooks: Iterable[int]) -> tuple[int, ...]:

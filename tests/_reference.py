@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against, and
 that the package itself never calls: enumerations of every partition of a
 size, inside a shape or inside a box (exponential, small inputs only),
-cell-by-cell hook lengths and the all-cells t-core scan, two independent
+the below-count table kept whole, conjugation, cell-by-cell hook lengths,
+the all-cells t-core scan and the first-column t-core test, two independent
 characterisations (t-core-ness from diagonal hooks, core size from the
 array entries above a path), a path's hook set read off the built array by
 its definition, the closed-form average size, the containment sweep
@@ -17,6 +18,7 @@ from typing import Iterable, Iterator
 
 from corepaths.bijection import CoreArray, CoreParams, LatticePath, build_array
 from corepaths.enumeration import iter_box_partitions
+from corepaths.identities import _below_rows
 from corepaths.partitions import Partition, diagonal_hooks_within, validate_hook_set
 
 
@@ -84,6 +86,13 @@ def below_count_table_by_enumeration(m: int, n: int) -> tuple[tuple[int, ...], .
     return tuple(tuple(row) for row in f)
 
 
+def below_count_table(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The package's below-count rows kept as a table, top row first: made
+    along the long side, so a tall box's table is transposed."""
+    rows = tuple(_below_rows(min(m, n), max(m, n)))[::-1]
+    return rows if m <= n else tuple(zip(*rows))
+
+
 def column_pair_total(m: int, n: int) -> int:
     """Triple count: over every partition mu in the box, the ways to choose
     an ordered pair of cells in one column of mu with the second not lower,
@@ -98,6 +107,15 @@ def column_pair_total(m: int, n: int) -> int:
     return total
 
 
+def conjugate(p: Partition) -> Partition:
+    """``p`` transposed across the main diagonal."""
+    cols = [0] * (p.rows[0] if p.rows else 0)
+    for r in p.rows:
+        for j in range(r):
+            cols[j] += 1
+    return Partition(tuple(cols))
+
+
 def hook_length(p: Partition, i: int, j: int) -> int:
     """Hook length of cell (i, j) of ``p``; raises if (i, j) is not a cell."""
     if i < 1 or j < 1 or i > len(p.rows) or j > p.rows[i - 1]:
@@ -108,7 +126,7 @@ def hook_length(p: Partition, i: int, j: int) -> int:
 
 def hook_lengths(p: Partition) -> list[int]:
     """All hook lengths of ``p``, row by row."""
-    conj = p.conjugate().rows
+    conj = conjugate(p).rows
     return [
         r - j + conj[j - 1] - i
         for i, r in enumerate(p.rows)
@@ -121,6 +139,18 @@ def is_t_core_scan(p: Partition, t: int) -> bool:
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
     return t not in set(hook_lengths(p))
+
+
+def is_t_core(p: Partition, t: int) -> bool:
+    """True when no cell of ``p`` has hook length exactly ``t``, by the
+    first-column hooks: a hook of length t exists in row i exactly when
+    b - t is a non-negative value missing from the first-column hook set,
+    for b the first-column hook of row i.  Fast enough to filter every
+    partition of a size; checked against ``is_t_core_scan``."""
+    if t < 2:
+        raise ValueError(f"t must be at least 2, got {t}")
+    hooks = set(p.first_column_hooks())
+    return hooks.issuperset([b - t for b in hooks if b >= t])
 
 
 def hook_set_is_t_core(hooks: Iterable[int], t: int) -> bool:
@@ -221,11 +251,11 @@ def steps_by_columns(path: LatticePath) -> str:
     """``path.steps()`` column by column: the path climbs to height m minus
     the cells above it in column j, read off the conjugate of mu, then
     steps right.  O(mn)."""
-    conj = path.mu.conjugate()
+    conj = conjugate(path.mu).rows + (0,) * path.n
     word = []
     height = 0
     for j in range(1, path.n + 1):
-        target = path.m - conj.row(j)
+        target = path.m - conj[j - 1]
         word.append("U" * (target - height))
         word.append("R")
         height = target

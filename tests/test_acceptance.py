@@ -30,10 +30,15 @@ from corepaths import (
     survey_partitions,
 )
 from corepaths.enumeration import coprime_pairs, fold_path_sizes
-from corepaths.identities import below_count_table
-from corepaths.partitions import is_t_core, partition_from_diagonal_hooks
+from corepaths.partitions import partition_from_diagonal_hooks
 
-from _reference import below_count_table_by_enumeration, core_size_from_path, hook_set_is_t_core
+from _reference import (
+    below_count_table,
+    below_count_table_by_enumeration,
+    core_size_from_path,
+    hook_set_is_t_core,
+    is_t_core,
+)
 
 
 def _report(name: str, ok: bool, elapsed: float, bound: float | None = None):

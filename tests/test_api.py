@@ -45,7 +45,8 @@ PUBLIC = {
     "survey_partitions",
 }
 
-# the exponential references and the formula only the tests call live in
+# the exponential references, the formula, the first-column t-core test
+# and the kept below-count table, which only the tests call, live in
 # tests/_reference.py; the wrapper brute_force_all_cores_count is gone, and
 # so are the Pascal table and the three table sums that below_sums replaced
 REMOVED = {
@@ -53,8 +54,10 @@ REMOVED = {
     "iter_partitions",
     "iter_partitions_up_to",
     "iter_subpartitions",
+    "below_count_table",
     "below_count_table_by_enumeration",
     "column_pair_total",
+    "is_t_core",
     "is_t_core_scan",
     "hook_set_is_t_core",
     "core_size_from_path",
@@ -83,7 +86,7 @@ def test_removed_names_are_in_no_module():
         assert not REMOVED & set(vars(module)), module.__name__
     assert not hasattr(LatticePath, "is_above")
     for cls, method in ((Partition, "hook_length"), (Partition, "hook_lengths"),
-                        (Partition, "durfee"),
+                        (Partition, "durfee"), (Partition, "conjugate"), (Partition, "row"),
                         (CoreArray, "hook_set"), (CoreArray, "positive_sum")):
         assert not hasattr(cls, method), method
     assert "oracle_budget" not in inspect.signature(verify_pair).parameters

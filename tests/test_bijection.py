@@ -18,11 +18,12 @@ from corepaths import (
 )
 from corepaths import bijection
 from corepaths.enumeration import coprime_pairs, iter_box_partitions
-from corepaths.partitions import is_t_core, partition_from_diagonal_hooks
+from corepaths.partitions import partition_from_diagonal_hooks
 
 from _reference import (
     core_size_from_path,
     hook_set,
+    is_t_core,
     path_from_core_by_sweep,
     path_from_steps_by_columns,
     positive_sum,
@@ -279,9 +280,8 @@ def test_size_via_above_sum_is_independent():
     arr = build_array(8, 11)
     above = sum(
         arr.entry(i, j)
-        for i in range(1, 5)
-        for j in range(1, 6)
-        if j <= FIG1_PATH.mu.row(i)
+        for i, r in enumerate(FIG1_PATH.mu.rows, start=1)
+        for j in range(1, r + 1)
     )
     assert above == 290
     assert 315 - above == 25

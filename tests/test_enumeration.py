@@ -328,7 +328,9 @@ def test_above_total_decomposes_into_weighted_table_sums():
     # entry (i, j) is s*t + s + t - 2sj - 2ti, so the path-summed above-total
     # splits into the plain and the row-/column-weighted below-count sums
     from corepaths import build_array
-    from corepaths.identities import below_count_table, below_sums
+    from corepaths.identities import below_sums
+
+    from _reference import below_count_table
 
     for s, t in coprime_pairs(13):
         m, n = s // 2, t // 2

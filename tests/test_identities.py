@@ -4,7 +4,6 @@ import pytest
 
 from corepaths.identities import (
     _wide_below_sums,
-    below_count_table,
     below_sums,
     identity_report,
     row_weighted_recurrence_holds,
@@ -14,7 +13,7 @@ from corepaths.identities import (
     symmetry_holds,
 )
 
-from _reference import below_count_table_by_enumeration, column_pair_total
+from _reference import below_count_table, below_count_table_by_enumeration, column_pair_total
 
 
 def test_table_tiny_boxes():
@@ -30,15 +29,14 @@ def test_table_refuses_over_a_million_cells_before_allocating(monkeypatch):
 
     monkeypatch.setattr(identities, "_below_rows", allocated)
     _wide_below_sums.cache_clear()
-    for build in (below_count_table, below_sums):
-        with pytest.raises(ValueError) as err:
-            build(1001, 1000)
-        assert str(err.value) == (
-            "m*n = 1001000 table cells is over the supported maximum of 10**6"
-        )
-        # exactly 10**6 cells passes the check and reaches the allocation
-        with pytest.raises(AssertionError):
-            build(1000, 1000)
+    with pytest.raises(ValueError) as err:
+        below_sums(1001, 1000)
+    assert str(err.value) == (
+        "m*n = 1001000 table cells is over the supported maximum of 10**6"
+    )
+    # exactly 10**6 cells passes the check and reaches the allocation
+    with pytest.raises(AssertionError):
+        below_sums(1000, 1000)
 
 
 def test_identity_sweep_cache_stays_small(capsys):
@@ -78,10 +76,11 @@ def test_square_report_folds_each_box_once(monkeypatch):
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
-        below_count_table(0, 3)
-    with pytest.raises(ValueError):
-        below_count_table(3, 0)
+    for check in (below_sums, symmetry_holds):
+        with pytest.raises(ValueError):
+            check(0, 3)
+        with pytest.raises(ValueError):
+            check(3, 0)
 
 
 def test_table_matches_enumeration_small():
@@ -92,7 +91,8 @@ def test_table_matches_enumeration_small():
 
 def test_table_builds_its_prefix_counts_along_the_long_side(monkeypatch):
     # a 1 x 1000 box and its transpose stream one row of 1000 cells, not
-    # 1000 rows of one
+    # 1000 rows of one: once for the sums the two share, once for the
+    # symmetry check of the tall box
     import corepaths.identities as identities
 
     calls = []
@@ -103,8 +103,11 @@ def test_table_builds_its_prefix_counts_along_the_long_side(monkeypatch):
         return rows(a, b)
 
     monkeypatch.setattr(identities, "_below_rows", spy)
+    _wide_below_sums.cache_clear()
     for m, n in ((1, 1000), (3, 7)):
-        assert below_count_table(n, m) == tuple(zip(*below_count_table(m, n)))
+        total, by_row, by_col = below_sums(m, n)
+        assert below_sums(n, m) == (total, by_col, by_row)
+        assert symmetry_holds(n, m)
     assert calls == [(1, 1000)] * 2 + [(3, 7)] * 2
 
 

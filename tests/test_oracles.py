@@ -17,10 +17,11 @@ from corepaths import (
     survey_partitions,
 )
 from corepaths.enumeration import coprime_pairs
-from corepaths.partitions import is_t_core, partition_from_diagonal_hooks
+from corepaths.partitions import partition_from_diagonal_hooks
 
 from _reference import (
     core_search_by_candidates,
+    is_t_core,
     is_t_core_scan,
     iter_partitions,
     iter_partitions_up_to,

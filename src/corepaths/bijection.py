@@ -8,25 +8,30 @@ the upper-right corner, and a path is canonically stored as the partition mu
 of cells lying ABOVE it (toward the top-left).  Cell (i, j) is above the
 path exactly when j <= mu_i.
 
-Everything here is a pure function over immutable values.  A CoreParams
-keeps one private row table, built on first use and never changed: the
-rows' first entries, their positive counts and t^-1 mod s, which every
-round trip through its pair reads instead of working them out again.
-CoreParams also counts the work each budgeted job does, for the one
-``check_budget``.
+Everything here is a pure function over immutable values, and the module
+holds no cache.  A CoreParams keeps one private row table, built on first
+use and never changed: the rows' first entries, their positive counts and
+t^-1 mod s, which every round trip through its pair reads instead of
+working them out again.  CoreParams also counts the work each budgeted job
+does, for the one ``check_budget``.  No command builds the array itself:
+``build_array`` states its entries cell by cell, as the literal route the
+row arithmetic of ``_row_hooks`` is checked against.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import accumulate
 
 from .partitions import Partition, Value, _set, partition_from_diagonal_hooks, validate_hook_set
 
 # Input cap on s*t.  All arithmetic is exact Python ints, so the cap is not
-# about overflow: it bounds array size and work, since the array has about
-# s*t/4 entries and the largest core about (s*t)^2/24 cells.
+# about overflow, and the array, the listings and the stats DP each have a
+# cap of their own.  It bounds what a budget check works out before it can
+# refuse: the exact binomial C(m+n, m).  On a 2-core Xeon, Python 3.11.7,
+# math.comb(2m, m) takes 0.04 s at m = 23170, the largest square pair under
+# the cap, but 0.46 s at m = 10**5 and 8-10 s at m = 5*10**5, so without it
+# ``verify --s 999999 --t 1000001`` would take seconds to refuse.
 _MAX_ST = 2**31
 # Cap on the m*n cells of a built array, and of a box whose below-count
 # rows ``identities`` streams.
@@ -182,14 +187,10 @@ class CoreArray(Value):
 
     Entries decrease by 2s along rows and 2t down columns, are odd, nonzero,
     pairwise distinct in absolute value, and the top-left entry dominates
-    them all in absolute value.  Arrays compare by identity, and their
-    repr leaves the entries out.
+    them all in absolute value.  Its repr leaves the entries out.
     """
 
     __slots__ = ("params", "entries")
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __init__(self, params: CoreParams, entries: tuple[tuple[int, ...], ...]):
         a11 = entries[0][0]
@@ -202,28 +203,19 @@ class CoreArray(Value):
     def __repr__(self):
         return f"CoreArray(params={self.params!r})"
 
-    @property
-    def m(self) -> int:
-        return self.params.m
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
     def entry(self, i: int, j: int) -> int:
         """Entry at 1-based cell (i, j)."""
-        if not (1 <= i <= self.m and 1 <= j <= self.n):
-            raise ValueError(f"cell ({i}, {j}) outside the {self.m}x{self.n} array")
+        m, n = self.params.m, self.params.n
+        if not (1 <= i <= m and 1 <= j <= n):
+            raise ValueError(f"cell ({i}, {j}) outside the {m}x{n} array")
         return self.entries[i - 1][j - 1]
 
 
-@lru_cache(maxsize=128)
 def build_array(s: int, t: int) -> CoreArray:
-    """Build the signed hook array for a coprime pair (s, t).
+    """Build the signed hook array for a coprime pair (s, t), cell by cell.
 
-    Cached: arrays are immutable (the entries are nested tuples), so the
-    same instance is shared by every caller.  Refused before anything is
-    allocated when it would have over ``_MAX_CELLS`` cells.
+    Refused before anything is allocated when it would have over
+    ``_MAX_CELLS`` cells.
     """
     params = CoreParams(s, t)
     if params.cell_count > _MAX_CELLS:
@@ -374,7 +366,9 @@ def path_from_core(p: Partition, params: CoreParams) -> LatticePath:
 def largest_hooks(params: CoreParams) -> list[int]:
     """Diagonal hooks of the largest (s, t)-core, decreasing: the hook set
     of the path hugging the left and top borders (mu empty), all positive
-    array entries."""
+    array entries.  Refused by ``check_listing`` when the core may have
+    over ``_MAX_LISTED_ROWS`` rows."""
+    check_listing(params)
     return _row_hooks(params, [0] * params.m)
 
 

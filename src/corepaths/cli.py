@@ -203,7 +203,6 @@ def _run_unmap(args):
 
 def _run_largest(args):
     params = CoreParams(args.s, args.t)
-    check_listing(params)
     hooks = largest_hooks(params)
     core = partition_from_diagonal_hooks(hooks)
     return 0, {

@@ -28,15 +28,12 @@ class Value:
     ``__slots__`` (names starting with ``_`` are private caches, not
     fields) and sets each once in ``__init__`` through ``_set``; it gets
     field-wise equality, hash and repr, and assignment raises
-    AttributeError.  A subclass that defines ``__eq__`` keeps its own
-    equality and hash."""
+    AttributeError."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
-        if "__eq__" in vars(cls):
-            return
         # compiled from source, as a dataclass's are: field loads written
         # out run about twice as fast as an attrgetter over the fields
         own, theirs = (" ".join(f"{x}.{f}," for f in cls._fields) for x in ("self", "other"))

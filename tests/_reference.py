@@ -205,9 +205,9 @@ def core_size_from_path(path: LatticePath, params: CoreParams) -> int:
     """Size of the core for a path, computed without building the partition:
     the largest core size minus the sum of array entries above the path."""
     arr = build_array(params.s, params.t)
-    if (path.m, path.n) != (arr.m, arr.n):
+    if (path.m, path.n) != (params.m, params.n):
         raise ValueError(
-            f"path box {path.m}x{path.n} does not match array {arr.m}x{arr.n}"
+            f"path box {path.m}x{path.n} does not match array {params.m}x{params.n}"
         )
     above = sum(sum(row[:k]) for row, k in zip(arr.entries, path.mu.rows))
     return params.max_core_size - above
@@ -244,7 +244,7 @@ def path_from_core_by_sweep(p: Partition, params: CoreParams) -> LatticePath | N
     )
     if any(a < b for a, b in zip(cuts, cuts[1:])) or hook_set(arr, cuts) != hooks:
         return None
-    return LatticePath(arr.m, arr.n, Partition(tuple(k for k in cuts if k)))
+    return LatticePath(params.m, params.n, Partition(tuple(k for k in cuts if k)))
 
 
 def steps_by_columns(path: LatticePath) -> str:

@@ -61,7 +61,6 @@ FIG1_ARRAY = (
 def test_criterion_01_worked_example_fidelity():
     params = CoreParams(8, 11)
     path = LatticePath(4, 5, Partition((4, 3, 3, 2)))
-    build_array(8, 11)  # warm the array cache; timing covers the operations
 
     def once():
         arr = build_array(8, 11)

@@ -42,6 +42,11 @@ def test_core_params_validation():
         CoreParams(1, 5)
     with pytest.raises(ValueError, match="at least 2"):
         CoreParams(3, 0)
+    # the last twin pair under the s*t cap, and the first over it
+    CoreParams(46337, 46339)
+    cap = r"^s\*t = 2147580963 is over the supported maximum of 2\*\*31$"
+    with pytest.raises(ValueError, match=cap):
+        CoreParams(46341, 46343)
     p = CoreParams(8, 11)
     assert (p.m, p.n) == (4, 5)
     assert p.max_core_size == 315
@@ -57,7 +62,7 @@ def test_array_worked_example():
 
 def test_array_tiny_and_errors():
     arr = build_array(2, 3)
-    assert (arr.m, arr.n) == (1, 1)
+    assert (arr.params.m, arr.params.n) == (1, 1)
     assert arr.entry(1, 1) == 1
     with pytest.raises(ValueError, match="not coprime"):
         build_array(4, 6)
@@ -68,19 +73,20 @@ def test_array_tiny_and_errors():
 def test_array_invariants_sweep():
     for s, t in coprime_pairs(20):
         arr = build_array(s, t)
-        vals = [arr.entry(i, j) for i in range(1, arr.m + 1) for j in range(1, arr.n + 1)]
+        m, n = arr.params.m, arr.params.n
+        vals = [arr.entry(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
         a11 = arr.entry(1, 1)
         assert a11 == s * t - s - t == max(vals)
-        assert arr.entry(arr.m, arr.n) == min(vals)
+        assert arr.entry(m, n) == min(vals)
         assert all(v != 0 for v in vals)
         assert all(v % 2 == 1 for v in map(abs, vals))
         assert len(set(map(abs, vals))) == len(vals)
         assert all(a11 >= abs(v) for v in vals)
-        for i in range(1, arr.m + 1):
-            for j in range(1, arr.n):
+        for i in range(1, m + 1):
+            for j in range(1, n):
                 assert arr.entry(i, j + 1) - arr.entry(i, j) == -2 * s
-        for j in range(1, arr.n + 1):
-            for i in range(1, arr.m):
+        for j in range(1, n + 1):
+            for i in range(1, m):
                 assert arr.entry(i + 1, j) - arr.entry(i, j) == -2 * t
         # sum of positive entries is the largest core size
         assert positive_sum(arr) == (s * s - 1) * (t * t - 1) // 24
@@ -426,9 +432,10 @@ def test_row_table_holds_the_first_column_and_the_positive_counts():
             assert t_inv * params.t % params.s == 1
 
 
-def test_bijection_holds_no_cache_but_the_arrays():
-    # the row table lives on its params, so round trips through fresh params
-    # leave every module-level container of bijection as it was
+def test_bijection_holds_no_module_cache():
+    # the row table lives on its params and arrays are built afresh, so
+    # round trips through fresh params leave every module-level container
+    # of bijection as it was
     def containers():
         return {
             name: len(value)
@@ -437,7 +444,7 @@ def test_bijection_holds_no_cache_but_the_arrays():
         }
 
     cached = [name for name, value in vars(bijection).items() if hasattr(value, "cache_info")]
-    assert cached == ["build_array"]
+    assert cached == []
     before = containers()
     for s, t in coprime_pairs(13):
         params = CoreParams(s, t)

@@ -447,14 +447,27 @@ def test_closed_stdout_pipe_exits_141_without_traceback(limit):
     assert err == b""
 
 
-def _main_under_memory_limit(argv):
-    """Run ``main(argv)`` in a child python under a 1 GiB address-space
-    limit; its stdout is the seconds ``main`` took."""
+def _under_memory_limit(code, *argv):
+    """Run python ``code`` with ``argv`` in a child under a 1 GiB
+    address-space limit."""
     import resource
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+
+
+def _main_under_memory_limit(argv):
+    """Run ``main(argv)`` under ``_under_memory_limit``; its stdout is the
+    seconds ``main`` took."""
     timed_main = (
         "import sys, time\n"
         "from corepaths.cli import main\n"
@@ -463,14 +476,7 @@ def _main_under_memory_limit(argv):
         "print(time.perf_counter() - start)\n"
         "sys.exit(code)\n"
     )
-    return subprocess.run(
-        [sys.executable, "-c", timed_main, *argv],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-        preexec_fn=limit_memory,
-        timeout=60,
-    )
+    return _under_memory_limit(timed_main, *argv)
 
 
 @pytest.mark.parametrize(
@@ -493,6 +499,29 @@ def test_array_commands_refuse_a_box_over_the_cell_cap(argv):
     assert float(proc.stdout) < 1.0
 
 
+@pytest.mark.parametrize(
+    "call", ["largest_core(CoreParams(3, 20000003))", "survey_partitions(3, 20000003, 5)"]
+)
+def test_library_refuses_the_core_that_largest_refuses(call):
+    # the survey builds the largest core first, so both refuse at once with
+    # the message of ``largest``, under a limit that building it would break
+    timed_call = (
+        "import time\n"
+        "from corepaths import CoreParams, largest_core, survey_partitions\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ValueError as err:\n"
+        "    print(err)\n"
+        "print(time.perf_counter() - start)\n"
+    )
+    proc = _under_memory_limit(timed_call)
+    assert proc.returncode == 0, proc.stderr
+    err, seconds = proc.stdout.splitlines()
+    assert err == "a core of up to 20000002 rows, over the supported maximum of 10**7"
+    assert float(seconds) < 1.0
+
+
 # 10,002 self-conjugate (3, 20002)-cores, each of at most (3-1)(20002-1)/2
 # = 20,001 rows; C(200001, 2)/200001 = 100,000 (2, 199999)-cores, within
 # the default budget, of at most 99,999 rows
@@ -513,8 +542,16 @@ _ALL_LISTING = "100000 cores of up to 99999 rows each bound the listing at 99999
         # the sweep's largest box, checked before its first box
         ("identities --max 1001",
          "m*n = 1002001 table cells is over the supported maximum of 10**6"),
+        ("verify --s 46341 --t 46343",
+         "s*t = 2147580963 is over the supported maximum of 2**31"),
+        # the last twin pair under the s*t cap: its exact path count, which
+        # the cap bounds the cost of, is worked out before the refusal
+        ("verify --s 46337 --t 46339",
+         "enumeration needs at least 10^13946 (13947 digits) paths, over the budget "
+         "of 10000000; raise the budget to proceed"),
     ],
-    ids=["bruteforce", "enumerate", "bruteforce-all", "identities", "identities-max"],
+    ids=["bruteforce", "enumerate", "bruteforce-all", "identities", "identities-max",
+         "verify-st", "verify-st-edge"],
 )
 def test_jobs_over_a_size_bound_are_refused_at_once(argv, err):
     # refused before any core is listed or any table allocated, under an

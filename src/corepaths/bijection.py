@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
+from operator import index
 
 from .partitions import Partition, Value, _set, partition_from_diagonal_hooks, validate_hook_set
 
@@ -85,7 +86,12 @@ class BudgetError(ValueError):
 
 
 def check_budget(unit: str, required: int, budget: int) -> int:
-    """``required`` if it is within ``budget``, else BudgetError; unit keys ``_NEEDS``."""
+    """``required`` if it is within ``budget``, else BudgetError; unit keys
+    ``_NEEDS``.  A budget that is no integer (1e7, 2.5) is a ValueError."""
+    try:
+        budget = index(budget)
+    except TypeError:
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     if required > budget:
         raise BudgetError(unit, required, budget)
     return required

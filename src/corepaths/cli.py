@@ -101,16 +101,17 @@ def _parse_path(text: str, m: int, n: int) -> LatticePath:
     return LatticePath.from_steps(text, m, n)
 
 
-def _budget(args, unit: str | None = None, expected: int = 0) -> int:
+def _budget(args, unit: str | None = None, expected=None) -> int:
     """--budget, else the command's default; a budget below 1 is refused.
-    Given the unit a job's budget counts and how many it needs, an explicit
-    budget first states that count."""
+    Given the unit a job's budget counts and a function that works out how
+    many it needs, an explicit budget first states that count; without one
+    the count is not worked out here."""
     if args.budget is None:
         return args.budget_default
     if args.budget < 1:
         raise ValueError(f"--budget must be at least 1, got {args.budget}")
     if unit is not None:
-        print(f"expected {unit} count: {describe_count(expected)}", file=sys.stderr)
+        print(f"expected {unit} count: {describe_count(expected())}", file=sys.stderr)
     return args.budget
 
 
@@ -129,7 +130,8 @@ def _run_stats(args):
     from .enumeration import enumerated_stats
 
     params = CoreParams(args.s, args.t)
-    stats = enumerated_stats(args.s, args.t, budget=_budget(args, "cell", params.cell_count))
+    budget = _budget(args, "cell", lambda: params.cell_count)
+    stats = enumerated_stats(args.s, args.t, budget=budget)
     return 0, {
         "s": args.s, "t": args.t, "m": params.m, "n": params.n,
         "count": stats.count, "total": stats.total_size,
@@ -141,8 +143,8 @@ def _run_enumerate(args):
     from .enumeration import iter_paths
 
     params = CoreParams(args.s, args.t)
-    check_budget("path", params.path_count, _budget(args, "path", params.path_count))
-    check_listing(params, params.path_count)
+    count = params.path_count
+    check_listing(params, check_budget("path", count, _budget(args, "path", lambda: count)))
     cores = ((path, core_from_path(path, params)) for path in iter_paths(params.m, params.n))
     return 0, [{"mu": list(p.mu.rows), "partition": list(c.rows), "size": c.size} for p, c in cores]
 
@@ -215,7 +217,7 @@ def _run_verify(args):
     from .enumeration import report_all_pass, verify_pair
 
     params = CoreParams(args.s, args.t)
-    report = verify_pair(args.s, args.t, budget=_budget(args, "path", params.path_count))
+    report = verify_pair(args.s, args.t, budget=_budget(args, "path", lambda: params.path_count))
     return (0 if report_all_pass(report) else 1), report
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from math import inf
+from operator import add, index
 
 from .bijection import (
     DEFAULT_ORACLE_BUDGET,
@@ -40,10 +41,13 @@ def _is_core(p: Partition, s: int, t: int) -> bool:
     """True when no cell of ``p`` has hook length s or t.  A cell of hook
     length h pairs a first-column hook b with b - h >= 0 outside the set
     (0 never in it), so each such b - h must be a hook: read with the hooks
-    b as bytes b of one int, shifted down by bytes s and t."""
-    hooks = p.first_column_hooks()
-    flags = bytearray(hooks[0] + 1 if hooks else 1)
-    for b in hooks:
+    b as bytes b of one int, shifted down by bytes s and t.  The hooks
+    rows[i] + k - 1 - i of a k-row partition are formed here, in the loop
+    that sets their bytes, the largest first."""
+    rows = p.rows
+    k = len(rows)
+    flags = bytearray(rows[0] + k if k else 0)
+    for b in map(add, rows, range(k - 1, -1, -1)):
         flags[b] = 1
     beta = int.from_bytes(flags, "little")
     return not (beta >> 8 * s | beta >> 8 * t) & ~beta
@@ -184,7 +188,7 @@ def _sc_search(s: int, t: int) -> Iterator[Partition]:
         ok_s ^= flip_s << u | flip_s >> u
         ok_t ^= flip_t << u | flip_t >> u
         a = u >> 1
-        p = Partition([plus_one(a), *map(plus_one, p.rows), *(1,) * (a - len(p))])
+        p = Partition([plus_one(a), *map(plus_one, p.rows), *(1,) * (a - len(p.rows))])
         yield p
 
 
@@ -243,6 +247,10 @@ def survey_partitions(s: int, t: int, limit: int) -> PartitionSurvey:
     predicates, is in ``tests/_reference.py``.
     """
     params = CoreParams(s, t)
+    try:
+        limit = index(limit)
+    except TypeError:
+        raise ValueError(f"limit must be an integer, got {limit!r}")
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     lam = largest_core(params)

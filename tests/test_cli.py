@@ -586,6 +586,29 @@ def test_verify_refuses_one_cell_over_before_the_walk(capsys, monkeypatch):
     assert run(capsys, "verify", "--s", "3", "--t", "2000003") == (2, "", err)
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [("verify --s 46337 --t 46339", 2), ("enumerate --s 5 --t 7", 0),
+     ("enumerate --s 5 --t 7 --budget 10", 0)],
+    ids=["verify-refused", "enumerate", "enumerate-budget"],
+)
+def test_the_path_count_is_worked_out_once(capsys, monkeypatch, argv, code):
+    # C(m+n, m) is exact and costly near the s*t cap: without --budget,
+    # verify leaves it to verify_pair, and enumerate reuses its one count
+    from corepaths.bijection import CoreParams
+
+    reads = []
+    count = CoreParams.path_count
+
+    def spy(params):
+        reads.append((params.s, params.t))
+        return count.fget(params)
+
+    monkeypatch.setattr(CoreParams, "path_count", property(spy))
+    assert run(capsys, *argv.split())[0] == code
+    assert len(reads) == 1, reads
+
+
 def test_remaining_format_branches(capsys):
     code, out, _ = run(capsys, "enumerate", "--s", "3", "--t", "4", "--format", "csv")
     assert code == 0

@@ -9,6 +9,8 @@ from corepaths import (
     CoreParams,
     CoreStats,
     Partition,
+    all_cores_size_stats,
+    brute_force_sc_cores,
     build_array,
     core_from_path,
     enumerated_stats,
@@ -355,6 +357,25 @@ def test_budget_guard():
         verify_pair(16, 17, budget=100)
     assert err.value.required == comb(16, 8)
     assert err.value.budget == 100
+
+
+@pytest.mark.parametrize("budget", [1e3, 2.5])
+@pytest.mark.parametrize(
+    "entry, s, t",
+    [
+        (enumerated_stats, 101, 103),
+        (verify_pair, 21, 23),
+        (brute_force_sc_cores, 21, 23),
+        (all_cores_size_stats, 11, 13),
+    ],
+)
+def test_budget_must_be_an_integer(entry, s, t, budget):
+    # each job is over 1000 of its units; a float budget is refused as no
+    # integer before it is compared, not by a failure while the refusal is
+    # written
+    with pytest.raises(ValueError, match=f"budget must be an integer, got {budget!r}") as err:
+        entry(s, t, budget=budget)
+    assert not isinstance(err.value, BudgetError)
 
 
 def test_stats_far_over_the_path_count_are_within_the_cell_budget():

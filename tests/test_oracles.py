@@ -156,6 +156,20 @@ def test_callers_filter_what_the_search_yields(monkeypatch):
                 if not (is_t_core_scan(q, s) and is_t_core_scan(q, t)):
                     yield q
 
+    sc_search = oracles._sc_search
+    wrapped = []
+
+    def noisy_sc(s, t):
+        for p in sc_search(s, t):
+            yield p
+            top = p.rows[0] if p.rows else 0
+            for a in range(top, top + s + t):
+                # p's diagonal hooks plus 2a + 1: one new first row and column
+                q = Partition((a + 1, *(r + 1 for r in p.rows), *(1,) * (a - len(p))))
+                if not (is_t_core_scan(q, s) and is_t_core_scan(q, t)):
+                    wrapped.append(q)
+                    yield q
+
     cases = [(2, 3), (3, 4), (4, 5), (5, 7), (7, 5)]
     lams = {(s, t): largest_core(CoreParams(s, t)).rows for s, t in cases}
     expected = {
@@ -163,14 +177,20 @@ def test_callers_filter_what_the_search_yields(monkeypatch):
             cores_within(lams[s, t], s, t),
             all_cores_size_stats(s, t),
             survey_partitions(s, t, 12),
+            brute_force_sc_cores(s, t),
         )
         for s, t in cases
     }
     monkeypatch.setattr(oracles, "_core_search", noisy)
+    monkeypatch.setattr(oracles, "_sc_search", noisy_sc)
     for s, t in cases:
-        within, stats, sv = expected[s, t]
+        within, stats, sv, sc = expected[s, t]
         assert cores_within(lams[s, t], s, t) == within
         assert all_cores_size_stats(s, t) == stats
+        wrapped.clear()
+        assert brute_force_sc_cores(s, t) == sc
+        # the extra partitions were yielded, each self-conjugate
+        assert wrapped and all(q.is_self_conjugate() for q in wrapped)
         noisy_sv = survey_partitions(s, t, 12)
         assert noisy_sv.visited > sv.visited  # the extra sets were yielded
         assert (
@@ -622,6 +642,10 @@ def test_all_cores_search_deeper_than_the_recursion_limit():
 def test_survey_rejects_negative_limit():
     with pytest.raises(ValueError):
         survey_partitions(2, 3, -1)
+    # a limit that is no integer is refused before the search starts
+    for limit in (5.5, "5", 5.0, None):
+        with pytest.raises(ValueError, match=f"limit must be an integer, got {limit!r}"):
+            survey_partitions(3, 5, limit)
 
 
 def test_stanley_zanello_small_instances():

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from operator import index
 
-from .partitions import Partition, Value, _set, partition_from_diagonal_hooks, validate_hook_set
+from .partitions import (
+    Partition, Value, _integer, _set, partition_from_diagonal_hooks, validate_hook_set,
+)
 
 # Input cap on s*t.  All arithmetic is exact Python ints, so the cap is not
 # about overflow, and the array, the listings and the stats DP each have a
@@ -88,10 +89,7 @@ class BudgetError(ValueError):
 def check_budget(unit: str, required: int, budget: int) -> int:
     """``required`` if it is within ``budget``, else BudgetError; unit keys
     ``_NEEDS``.  A budget that is no integer (1e7, 2.5) is a ValueError."""
-    try:
-        budget = index(budget)
-    except TypeError:
-        raise ValueError(f"budget must be an integer, got {budget!r}")
+    budget = _integer("budget", budget)
     if required > budget:
         raise BudgetError(unit, required, budget)
     return required
@@ -121,6 +119,7 @@ class CoreParams(Value):
     __slots__ = ("s", "t", "_rows")
 
     def __init__(self, s: int, t: int):
+        s, t = _integer("s", s), _integer("t", t)
         if s < 2 or t < 2:
             raise ValueError(f"both parameters must be at least 2, got ({s}, {t})")
         if math.gcd(s, t) != 1:
@@ -235,6 +234,14 @@ def build_array(s: int, t: int) -> CoreArray:
     return CoreArray(params, entries)
 
 
+def _box_sides(m: int, n: int) -> tuple[int, int]:
+    """(m, n) as ints; ValueError unless both are integers of at least 1."""
+    m, n = _integer("m", m), _integer("n", n)
+    if m < 1 or n < 1:
+        raise ValueError(f"box dimensions must be positive, got {m}x{n}")
+    return m, n
+
+
 class LatticePath(Value):
     """A monotone lower-left to upper-right path in an m x n box, stored as
     the partition mu of cells above it."""
@@ -242,8 +249,7 @@ class LatticePath(Value):
     __slots__ = ("m", "n", "mu")
 
     def __init__(self, m: int, n: int, mu: Partition = Partition()):
-        if m < 1 or n < 1:
-            raise ValueError(f"box dimensions must be positive, got {m}x{n}")
+        m, n = _box_sides(m, n)
         if len(mu.rows) > m or (mu.rows and mu.rows[0] > n):
             raise ValueError(f"mu = {mu} does not fit in a {m}x{n} box")
         _set(self, "m", m)
@@ -308,11 +314,9 @@ def _row_hooks(params: CoreParams, cuts) -> list[int]:
 
 def _path_cuts(path: LatticePath, params: CoreParams) -> tuple[int, ...]:
     """The cells above ``path`` in each of the m rows of the (s, t) box."""
-    m = params.s // 2
-    if path.m != m or path.n != params.t // 2:
-        raise ValueError(
-            f"path box {path.m}x{path.n} does not match array {params.m}x{params.n}"
-        )
+    m, n = params.s // 2, params.t // 2
+    if (path.m, path.n) != (m, n):
+        raise ValueError(f"path box {path.m}x{path.n} does not match array {m}x{n}")
     rows = path.mu.rows
     return rows + (0,) * (m - len(rows))
 

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from itertools import accumulate, repeat
+from itertools import accumulate, combinations_with_replacement, repeat
 
 from .bijection import (
     DEFAULT_PATH_BUDGET,
     CoreParams,
     LatticePath,
+    _box_sides,
     _row_hooks,
     check_budget,
     largest_hooks,
@@ -60,31 +61,13 @@ class CoreStats(Value):
         return {"num": self.total_size // g, "den": self.count // g}
 
 
-def iter_box_partitions(m: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Every partition fitting in an m x n box, as a length-m tuple padded
-    with zeros, in colexicographic order (last rows vary slowest)."""
-    if m < 1 or n < 1:
-        raise ValueError(f"box dimensions must be positive, got {m}x{n}")
-    mu = [0] * m
-    while True:
-        yield tuple(mu)
-        for i in range(m):
-            cap = n if i == 0 else mu[i - 1]
-            if mu[i] < cap:
-                v = mu[i] + 1
-                mu[i] = v
-                for r in range(i):
-                    mu[r] = v
-                break
-        else:
-            return
-
-
 def iter_paths(m: int, n: int) -> Iterator[LatticePath]:
-    """Every lattice path in the m x n box, C(m+n, m) of them, in the
-    colexicographic order of their above-partitions."""
-    for mu in iter_box_partitions(m, n):
-        yield LatticePath(m, n, Partition(tuple(r for r in mu if r)))
+    """Every lattice path in the m x n box, C(m+n, m) of them, in the colex
+    order of their above-partitions: rows mu_m <= ... <= mu_1 as itertools
+    lists them.  The sides are checked first: a negative n lists no path."""
+    m, n = _box_sides(m, n)
+    for rows in combinations_with_replacement(range(n + 1), m):
+        yield LatticePath(m, n, Partition(tuple(filter(None, reversed(rows)))))
 
 
 def coprime_pairs(limit: int) -> list[tuple[int, int]]:

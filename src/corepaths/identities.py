@@ -16,15 +16,15 @@ from itertools import accumulate, chain, islice
 from math import comb
 from operator import add, mul, sub
 
-from .bijection import _MAX_CELLS
+from .bijection import _MAX_CELLS, _box_sides
 
 
-def _check_box(m: int, n: int) -> None:
-    """Refuse a box with a side below 1 or over ``_MAX_CELLS`` cells."""
-    if m < 1 or n < 1:
-        raise ValueError(f"box dimensions must be positive, got {m}x{n}")
+def _check_box(m: int, n: int) -> tuple[int, int]:
+    """(m, n) as ints, unless ``_box_sides`` refuses them or m*n > ``_MAX_CELLS``."""
+    m, n = _box_sides(m, n)
     if m * n > _MAX_CELLS:
         raise ValueError(f"m*n = {m * n} table cells is over the supported maximum of 10**6")
+    return m, n
 
 
 def _below_rows(a: int, b: int):
@@ -54,7 +54,7 @@ def below_sums(m: int, n: int) -> tuple[int, int, int]:
     """(sum of f, of i * f, of j * f) over the 1-based cells (i, j) of the
     m x n box's below-count table f.  A tall box reads its transpose's,
     with the weighted sums swapped."""
-    _check_box(m, n)
+    m, n = _check_box(m, n)
     total, x, y = _wide_below_sums(min(m, n), max(m, n))
     return (total, x, y) if m <= n else (total, y, x)
 
@@ -102,7 +102,7 @@ def symmetry_holds(m: int, n: int) -> bool:
     table[m-i+1][n-j+1] must equal C(m+n, m) everywhere.  The rows are read
     as made, bottom first, a tall box's wide; the bottom half is held and
     each later row is compared once with its mirror."""
-    _check_box(m, n)
+    m, n = _check_box(m, n)
     a = min(m, n)
     rows = _below_rows(a, max(m, n))
     held = list(islice(rows, a // 2))
@@ -118,6 +118,7 @@ def identity_report(m: int, n: int) -> dict:
 
     The recurrence entry is vacuously true when either dimension is 1.
     """
+    m, n = _check_box(m, n)
     total, by_row, by_col = below_sums(m, n)
     return {
         "m": m,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from math import inf
-from operator import add, index
+from operator import add
 
 from .bijection import (
     DEFAULT_ORACLE_BUDGET,
@@ -34,7 +34,7 @@ from .bijection import (
     check_listing,
     largest_core,
 )
-from .partitions import Partition, Value, _set
+from .partitions import Partition, Value, _integer, _set
 
 
 def _is_core(p: Partition, s: int, t: int) -> bool:
@@ -207,11 +207,17 @@ def brute_force_sc_cores(
 
 
 def _partitions_up_to(limit: int) -> int:
-    """Number of partitions of every size 0..limit, exactly."""
-    counts = [1] + [0] * limit
-    for part in range(1, limit + 1):
-        for n in range(part, limit + 1):
-            counts[n] += counts[n - part]
+    """Number of partitions of every size 0..limit, exactly, by Euler's
+    pentagonal number theorem, in O(limit^1.5) additions: p(n) sums
+    (-1)^(k+1) (p(n - g) + p(n - g - k)) over k >= 1, g = k(3k-1)/2 <= n."""
+    counts = [1]
+    for n in range(1, limit + 1):
+        p, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= n:
+            term = counts[n - g] + (counts[n - g - k] if g + k <= n else 0)
+            p += term if k % 2 else -term
+            k += 1
+        counts.append(p)
     return sum(counts)
 
 
@@ -247,10 +253,7 @@ def survey_partitions(s: int, t: int, limit: int) -> PartitionSurvey:
     predicates, is in ``tests/_reference.py``.
     """
     params = CoreParams(s, t)
-    try:
-        limit = index(limit)
-    except TypeError:
-        raise ValueError(f"limit must be an integer, got {limit!r}")
+    limit = _integer("limit", limit)
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     lam = largest_core(params)

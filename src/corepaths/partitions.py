@@ -23,6 +23,14 @@ from operator import add, ge, index, le
 _set = object.__setattr__
 
 
+def _integer(what: str, value) -> int:
+    """``value`` through ``operator.index``; ValueError if no integer (2.5, "2")."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 class Value:
     """Base of the immutable value classes.  A subclass names its fields in
     ``__slots__`` (names starting with ``_`` are private caches, not

@@ -1,6 +1,7 @@
 """Reference implementations the tests compare the package against, and
 that the package itself never calls: enumerations of every partition of a
 size, inside a shape or inside a box (exponential, small inputs only),
+the partition count up to a size by the coin-change loop,
 the below-count table kept whole, conjugation, cell-by-cell hook lengths,
 the all-cells t-core scan and the first-column t-core test, two independent
 characterisations (t-core-ness from diagonal hooks, core size from the
@@ -13,11 +14,11 @@ the two oracle searches trying each candidate hook in turn.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, inf
 from typing import Iterable, Iterator
 
 from corepaths.bijection import CoreArray, CoreParams, LatticePath, build_array
-from corepaths.enumeration import iter_box_partitions
 from corepaths.identities import _below_rows
 from corepaths.partitions import Partition, diagonal_hooks_within, validate_hook_set
 
@@ -58,6 +59,16 @@ def iter_partitions_up_to(limit: int) -> Iterator[tuple[int, ...]]:
         yield from iter_partitions(n)
 
 
+def partition_count_up_to(limit: int) -> int:
+    """Number of partitions of every size 0..limit, by the coin-change
+    loop: parts 1, 2, ... added one at a time.  O(limit^2) additions."""
+    counts = [1] + [0] * limit
+    for part in range(1, limit + 1):
+        for n in range(part, limit + 1):
+            counts[n] += counts[n - part]
+    return sum(counts)
+
+
 def iter_subpartitions(shape: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Every partition contained in ``shape`` componentwise."""
     shape = tuple(shape)
@@ -77,11 +88,12 @@ def iter_subpartitions(shape: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 def below_count_table_by_enumeration(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Independent oracle for the table: walk every partition in the box and
-    count the cells above each path directly.  Exponential; small boxes only."""
+    count the cells above each path directly.  Exponential; small boxes only.
+    Its rows mu_m <= ... <= mu_1 are the standard library's combinations."""
     f = [[0] * n for _ in range(m)]
-    for mu in iter_box_partitions(m, n):
-        for i in range(m):
-            for j in range(mu[i]):
+    for rows in combinations_with_replacement(range(n + 1), m):
+        for i, r in enumerate(reversed(rows)):
+            for j in range(r):
                 f[i][j] += 1
     return tuple(tuple(row) for row in f)
 
@@ -99,10 +111,9 @@ def column_pair_total(m: int, n: int) -> int:
     i.e. sum of C(mu'_j + 1, 2) over the columns.  Equals the row-weighted
     sum; exponential enumeration, small boxes only."""
     total = 0
-    for mu in iter_box_partitions(m, n):
-        width = mu[0]
-        for j in range(1, width + 1):
-            col = sum(1 for r in mu if r >= j)
+    for rows in combinations_with_replacement(range(n + 1), m):
+        for j in range(1, rows[-1] + 1):
+            col = sum(1 for r in rows if r >= j)
             total += comb(col + 1, 2)
     return total
 
@@ -216,12 +227,13 @@ def core_size_from_path(path: LatticePath, params: CoreParams) -> int:
 def count_paths_not_within(params: CoreParams, outer: tuple[int, ...]) -> int:
     """How many path images of the box do not fit in the self-conjugate
     partition with diagonal hooks ``outer``: one hook set per path, read
-    through ``hook_set`` in the order of ``iter_box_partitions`` and
-    compared by ``diagonal_hooks_within``.  C(m+n, m) sorts."""
+    through ``hook_set``, each path's cuts mu_1 >= ... >= mu_m read off a
+    weakly increasing combination, and compared by
+    ``diagonal_hooks_within``.  C(m+n, m) sorts."""
     arr = build_array(params.s, params.t)
     return sum(
-        not diagonal_hooks_within(hook_set(arr, mu), outer)
-        for mu in iter_box_partitions(params.m, params.n)
+        not diagonal_hooks_within(hook_set(arr, rows[::-1]), outer)
+        for rows in combinations_with_replacement(range(params.n + 1), params.m)
     )
 
 

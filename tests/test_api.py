@@ -48,11 +48,14 @@ PUBLIC = {
 # the exponential references, the formula, the first-column t-core test
 # and the kept below-count table, which only the tests call, live in
 # tests/_reference.py; the wrapper brute_force_all_cores_count is gone, and
-# so are the Pascal table and the three table sums that below_sums replaced
+# so are the Pascal table and the three table sums that below_sums replaced,
+# and the hand-written box counter that iter_paths' itertools call replaced
 REMOVED = {
     "average_size_formula",
     "iter_partitions",
     "iter_partitions_up_to",
+    "partition_count_up_to",
+    "iter_box_partitions",
     "iter_subpartitions",
     "below_count_table",
     "below_count_table_by_enumeration",

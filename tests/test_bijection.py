@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -9,15 +10,19 @@ from corepaths import (
     CoreParams,
     LatticePath,
     Partition,
+    brute_force_sc_cores,
     build_array,
     core_from_path,
+    cores_within,
+    enumerated_stats,
+    identity_report,
     iter_paths,
     largest_core,
     path_from_core,
     path_hook_set,
 )
 from corepaths import bijection
-from corepaths.enumeration import coprime_pairs, iter_box_partitions
+from corepaths.enumeration import coprime_pairs
 from corepaths.partitions import partition_from_diagonal_hooks
 
 from _reference import (
@@ -42,6 +47,15 @@ def test_core_params_validation():
         CoreParams(1, 5)
     with pytest.raises(ValueError, match="at least 2"):
         CoreParams(3, 0)
+    for s, t in ((3.0, 5), ("3", 5), (3, 5.0), (None, 5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            CoreParams(s, t)
+    # an int subclass is stored as a plain int
+    class Int(int):
+        pass
+
+    params = CoreParams(Int(3), Int(5))
+    assert type(params.s) is type(params.t) is int
     # the last twin pair under the s*t cap, and the first over it
     CoreParams(46337, 46339)
     cap = r"^s\*t = 2147580963 is over the supported maximum of 2\*\*31$"
@@ -50,6 +64,37 @@ def test_core_params_validation():
     p = CoreParams(8, 11)
     assert (p.m, p.n) == (4, 5)
     assert p.max_core_size == 315
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: CoreParams(3.0, 5), id="CoreParams(3.0, 5)"),
+        pytest.param(lambda: CoreParams('3', 5), id="CoreParams('3', 5)"),
+        pytest.param(lambda: enumerated_stats(3, 5.0), id="enumerated_stats(3, 5.0)"),
+        pytest.param(lambda: brute_force_sc_cores(3, 5.0), id="brute_force_sc_cores(3, 5.0)"),
+        pytest.param(lambda: cores_within((), 3, 5.0), id="cores_within((), 3, 5.0)"),
+        pytest.param(lambda: LatticePath(2.0, 3), id="LatticePath(2.0, 3)"),
+        pytest.param(lambda: LatticePath(2.5, 3), id="LatticePath(2.5, 3)"),
+        pytest.param(lambda: LatticePath(2, '3'), id="LatticePath(2, '3')"),
+        pytest.param(lambda: next(iter_paths(2, 3.0)), id="next(iter_paths(2, 3.0))"),
+        pytest.param(lambda: identity_report(2.5, 3), id="identity_report(2.5, 3)"),
+        pytest.param(lambda: identity_report(2, None), id="identity_report(2, None)"),
+    ],
+)
+def test_sizes_must_be_integers(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_integer_sizes_are_stored_as_ints():
+    # a bool is an int subclass: read through operator.index, it is stored
+    # and reported as a plain int
+    path = LatticePath(True, 1)
+    assert type(path.m) is int and path.steps() == "UR"
+    report = identity_report(True, 3)
+    assert type(report["m"]) is int and report["m"] == 1
+    assert all(report.values())
 
 
 def test_array_worked_example():
@@ -351,7 +396,8 @@ def test_row_progressions_match_the_reference_hook_set_on_every_path_to_15():
     for s, t in coprime_pairs(15):
         for params in (CoreParams(s, t), CoreParams(t, s)):
             arr = build_array(params.s, params.t)
-            for mu in iter_box_partitions(params.m, params.n):
+            for rows in combinations_with_replacement(range(params.n + 1), params.m):
+                mu = rows[::-1]
                 path = LatticePath(params.m, params.n, Partition(tuple(r for r in mu if r)))
                 expected = hook_set(arr, mu)
                 assert path_hook_set(path, arr) == expected, (params, mu)

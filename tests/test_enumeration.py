@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import comb, gcd
 
 import pytest
@@ -22,7 +23,6 @@ from corepaths.enumeration import (
     _largest_excess,
     coprime_pairs,
     fold_path_sizes,
-    iter_box_partitions,
     report_all_pass,
     total_size_from_path_counts,
 )
@@ -30,27 +30,50 @@ from corepaths.enumeration import (
 from _reference import average_size_formula, count_paths_not_within, hook_set
 
 
-def test_iter_box_partitions_2x2_order():
-    assert list(iter_box_partitions(2, 2)) == [
-        (0, 0),
-        (1, 0),
-        (2, 0),
+def test_iter_paths_2x2_order():
+    assert [p.mu.rows for p in iter_paths(2, 2)] == [
+        (),
+        (1,),
+        (2,),
         (1, 1),
         (2, 1),
         (2, 2),
     ]
 
 
-def test_iter_box_partitions_counts_and_determinism():
+def test_iter_paths_counts_and_determinism():
     for m in range(1, 6):
         for n in range(1, 6):
-            first = list(iter_box_partitions(m, n))
+            first = list(iter_paths(m, n))
             assert len(first) == comb(m + n, m)
             assert len(set(first)) == len(first)
-            assert first == list(iter_box_partitions(m, n))
-            for mu in first:
-                assert all(mu[i] >= mu[i + 1] for i in range(m - 1))
-                assert mu[0] <= n
+            assert first == list(iter_paths(m, n))
+            for path in first:
+                assert (path.m, path.n) == (m, n)
+                mu = path.mu.rows
+                assert len(mu) <= m and all(r > 0 for r in mu)
+                assert all(mu[i] >= mu[i + 1] for i in range(len(mu) - 1))
+                assert not mu or mu[0] <= n
+
+
+def test_iter_paths_order_is_colex_by_definition():
+    # the weakly decreasing m-tuples of every value 0..n, sorted by the
+    # reversed tuple (last row slowest), zeros dropped
+    for m in range(1, 7):
+        for n in range(1, 7):
+            expected = sorted(
+                (mu for mu in product(range(n + 1), repeat=m)
+                 if all(a >= b for a, b in zip(mu, mu[1:]))),
+                key=lambda mu: mu[::-1],
+            )
+            got = [p.mu.rows for p in iter_paths(m, n)]
+            assert got == [tuple(r for r in mu if r) for mu in expected], (m, n)
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (-1, 2), (2, -1), (0, -1)])
+def test_iter_paths_refuses_a_box_side_below_one(m, n):
+    with pytest.raises(ValueError, match="box dimensions must be positive"):
+        next(iter_paths(m, n))
 
 
 def test_iter_paths_counts():
@@ -186,8 +209,8 @@ def test_staircase_fold_on_tied_weights():
             for _ in range(5):
                 rows = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(m)]
                 above = [
-                    sum(e + k * d for (e, d), v in zip(rows, mu) for k in range(v))
-                    for mu in iter_box_partitions(m, n)
+                    sum(e + k * d for (e, d), v in zip(rows, reversed(mu)) for k in range(v))
+                    for mu in combinations_with_replacement(range(n + 1), m)
                 ]
                 assert enumeration._staircase_fold(rows[::-1], n + 1) == (
                     len(above),
@@ -543,8 +566,8 @@ def _literal_largest_excess(params, outer):
     # and every hook x of h, by the definition
     arr = build_array(params.s, params.t)
     best = 0
-    for mu in iter_box_partitions(params.m, params.n):
-        hooks = hook_set(arr, mu)
+    for mu in combinations_with_replacement(range(params.n + 1), params.m):
+        hooks = hook_set(arr, mu[::-1])
         for x in hooks:
             best = max(best, sum(h >= x for h in hooks) - sum(o >= x for o in outer))
     return best

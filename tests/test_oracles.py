@@ -26,6 +26,7 @@ from _reference import (
     iter_partitions,
     iter_partitions_up_to,
     iter_subpartitions,
+    partition_count_up_to,
     sc_search_by_candidates,
 )
 
@@ -637,6 +638,19 @@ def test_all_cores_search_deeper_than_the_recursion_limit():
     assert count * (s + t) == comb(s + t, s)
     assert 24 * total == count * (s + t + 1) * (s - 1) * (t - 1)
     assert (count, total) == (1002, 167668501)
+
+
+def test_partition_count_matches_the_references():
+    # the pentagonal recurrence against the coin-change loop, and against
+    # a count of the listed partitions
+    import corepaths.oracles as oracles
+
+    for limit in range(301):
+        assert oracles._partitions_up_to(limit) == partition_count_up_to(limit), limit
+    for limit in range(16):
+        assert oracles._partitions_up_to(limit) == len(list(iter_partitions_up_to(limit)))
+    # p(100) = 190569292, the value MacMahon computed for Hardy and Ramanujan
+    assert oracles._partitions_up_to(100) - oracles._partitions_up_to(99) == 190569292
 
 
 def test_survey_rejects_negative_limit():

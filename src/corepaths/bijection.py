@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
+from operator import index
 
 from .partitions import (
     Partition, Value, _integer, _set, partition_from_diagonal_hooks, validate_hook_set,
@@ -119,7 +120,10 @@ class CoreParams(Value):
     __slots__ = ("s", "t", "_rows")
 
     def __init__(self, s: int, t: int):
-        s, t = _integer("s", s), _integer("t", t)
+        try:
+            s, t = index(s), index(t)
+        except TypeError:
+            s, t = _integer("s", s), _integer("t", t)
         if s < 2 or t < 2:
             raise ValueError(f"both parameters must be at least 2, got ({s}, {t})")
         if math.gcd(s, t) != 1:
@@ -236,7 +240,12 @@ def build_array(s: int, t: int) -> CoreArray:
 
 def _box_sides(m: int, n: int) -> tuple[int, int]:
     """(m, n) as ints; ValueError unless both are integers of at least 1."""
-    m, n = _integer("m", m), _integer("n", n)
+    # each round trip builds a path and often params (CoreParams inlines
+    # this too): one index() pair, and _integer only to name a failing side
+    try:
+        m, n = index(m), index(n)
+    except TypeError:
+        m, n = _integer("m", m), _integer("n", n)
     if m < 1 or n < 1:
         raise ValueError(f"box dimensions must be positive, got {m}x{n}")
     return m, n
@@ -307,7 +316,10 @@ def _row_hooks(params: CoreParams, cuts) -> list[int]:
     firsts, positives, _ = params._row_table()
     hooks = []
     for k, e, p in zip(cuts, firsts, positives, strict=True):
-        hooks += range(e - s2 * k, e - s2 * p, -s2) if k < p else range(s2 * p - e, s2 * k - e, s2)
+        if k < p:
+            hooks += range(e - s2 * k, e - s2 * p, -s2)
+        elif k > p:
+            hooks += range(s2 * p - e, s2 * k - e, s2)
     hooks.sort(reverse=True)
     return hooks
 
@@ -343,12 +355,29 @@ def path_from_core(p: Partition, params: CoreParams) -> LatticePath:
     s - r or r for r = h * t^-1 mod s, and then y is q or t - q for
     q = (rt - h)/s < t.  With q > 0 both lie in (0, t), and an odd x < s
     and y < t are inside the box.
-    A row's cut starts at its positive count, read with t^-1 from the
+    A row's cut starts at its positive count c, read with t^-1 from the
     params' row table, and moves past each hook: down at a positive entry,
-    up at a negative one, so it stays in [0, n].  The array's absolute
-    values are pairwise distinct, so ``p`` is in the image exactly when
-    every hook is placed and the cuts weakly decrease and carry ``p``'s
-    hook set.
+    up at a negative one.  Beside it, the row's edge records, for the hooks
+    taken smallest first, the 0-based column of a positive hook or one past
+    that of a negative one, so the last write is the row's largest hook.
+    ``p`` is in the image exactly when every hook is placed, each cut
+    equals its row's edge, and the cuts weakly decrease:
+
+    - the array's values are pairwise distinct in absolute value, so the
+      placed hooks are distinct cells;
+    - entries fall along a row, so its largest positive hook is its
+      leftmost positive cell and its largest |negative| hook its rightmost
+      negative cell;
+    - so a row's a positive hooks, all in columns below c, fill exactly the
+      block c - a .. c - 1 that the path cut at c - a carries exactly when
+      the leftmost sits at column c - a; likewise its b negative hooks fill
+      c .. c + b - 1 exactly when the rightmost sits at c + b - 1;
+    - a row with hooks of both signs always fails: its cut c - a + b is
+      above a largest positive hook's column (at most c - a) and below one
+      past a largest negative hook's column (at least c + b).
+
+    Then the cuts stay in [0, n] and carry ``p``'s hook set, and weakly
+    decreasing they are a path: O(H + m log m) for H hooks.
     """
     try:
         hooks = p.diagonal_hooks()
@@ -359,16 +388,21 @@ def path_from_core(p: Partition, params: CoreParams) -> LatticePath:
     s, t = params.s, params.t
     _, positives, t_inv = params._row_table()
     cuts = list(positives)
-    for h in hooks:
+    edges = list(positives)
+    for h in reversed(hooks):
         r = h * t_inv % s
         q = (r * t - h) // s  # exact, as rt = h (mod s)
         if q > 0 and (s - r) & q & 1:  # positive entry
-            cuts[(s - r) >> 1] -= 1
+            i = (s - r) >> 1
+            cuts[i] -= 1
+            edges[i] = q >> 1
         elif q > 0 and r & (t - q) & 1:  # negative entry
-            cuts[r >> 1] += 1
+            i = r >> 1
+            cuts[i] += 1
+            edges[i] = (t - q + 1) >> 1
         else:
             raise ValueError(f"not in the bijection image: {p}")
-    if cuts != sorted(cuts, reverse=True) or _row_hooks(params, cuts) != list(hooks):
+    if cuts != edges or cuts != sorted(cuts, reverse=True):
         raise ValueError(f"not in the bijection image: {p}")
     return LatticePath(s // 2, t // 2, Partition(tuple(filter(None, cuts))))
 

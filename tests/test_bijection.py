@@ -446,6 +446,25 @@ def test_path_from_core_agrees_with_the_sweep_on_seeded_non_images():
             path_from_core(p, FIG1_PARAMS)
 
 
+def test_path_from_core_refuses_rows_whose_hooks_are_no_block():
+    # the (8, 11) array, positive counts (5, 3, 2, 1):
+    #   69  53  37  21   5
+    #   47  31  15  -1 -17
+    #   25   9  -7 -23 -39
+    #    3 -13 -29 -45 -61
+    for hooks in (
+        (15, 1),  # row 2 holds a positive and a negative hook
+        (37, 5),  # row 1's positive hooks skip 21
+        (23, 5),  # row 3's negative hooks start past -7, at its third column
+        (23, 7),  # each row a block, but row 3's cut 4 is past row 2's 3
+    ):
+        p = partition_from_diagonal_hooks(hooks)
+        assert path_from_core_by_sweep(p, FIG1_PARAMS) is None
+        with pytest.raises(ValueError) as err:
+            path_from_core(p, FIG1_PARAMS)
+        assert str(err.value) == f"not in the bijection image: {p}"
+
+
 def test_core_from_path_box_mismatch():
     with pytest.raises(ValueError, match="path box 1x1 does not match array 4x5"):
         core_from_path(LatticePath(1, 1), FIG1_PARAMS)

@@ -24,6 +24,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ENUMERATION = "src/corepaths/enumeration.py"
+BIJECTION = "src/corepaths/bijection.py"
+IMAGE_TESTS = ["tests/test_bijection.py", "tests/test_acceptance.py"]
 # name: (file, text, replacement, tests)
 MUTANTS = {
     "drop e += d": (
@@ -55,6 +57,24 @@ MUTANTS = {
         "combinations_with_replacement(range(n + 1), m)",
         "combinations_with_replacement(range(n), m)",
         ["tests/test_enumeration.py", "tests/test_bijection.py"],
+    ),
+    "drop cuts != edges in path_from_core": (
+        BIJECTION,
+        "    if cuts != edges or cuts != sorted(cuts, reverse=True):\n",
+        "    if cuts != sorted(cuts, reverse=True):\n",
+        IMAGE_TESTS,
+    ),
+    "drop the weak-decrease check in path_from_core": (
+        BIJECTION,
+        "    if cuts != edges or cuts != sorted(cuts, reverse=True):\n",
+        "    if cuts != edges:\n",
+        IMAGE_TESTS,
+    ),
+    "iterate the hooks largest first in path_from_core": (
+        BIJECTION,
+        "    for h in reversed(hooks):\n",
+        "    for h in hooks:\n",
+        IMAGE_TESTS,
     ),
 }
 

@@ -249,10 +249,11 @@ def test_criterion_12_tall_box_walk():
 
 def test_criterion_13_array_free_round_trip():
     # (1999, 2001): a 999 x 1000 box, whose array of 999,000 entries the
-    # bijection never builds.  A seeded path maps to its core and back in
-    # O(H + m) steps for H hooks, where a membership sweep of the array
-    # takes O(mn); the traced peak of path_from_core holds the hooks and
-    # the cuts, not the array
+    # bijection never builds.  A seeded path maps to its core in
+    # O(H log H + m) steps for H hooks and back in O(H + m log m), reading
+    # each row's largest hook, where a membership sweep of the array takes
+    # O(mn); the traced peak of path_from_core holds the hooks, the cuts
+    # and the rows' edges, not the array
     import random
     import tracemalloc
 

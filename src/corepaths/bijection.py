@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from operator import index
 
 from .partitions import (
     Partition, Value, _integer, _set, partition_from_diagonal_hooks, validate_hook_set,
@@ -120,10 +119,7 @@ class CoreParams(Value):
     __slots__ = ("s", "t", "_rows")
 
     def __init__(self, s: int, t: int):
-        try:
-            s, t = index(s), index(t)
-        except TypeError:
-            s, t = _integer("s", s), _integer("t", t)
+        s, t = _integer("s", s), _integer("t", t)
         if s < 2 or t < 2:
             raise ValueError(f"both parameters must be at least 2, got ({s}, {t})")
         if math.gcd(s, t) != 1:
@@ -240,12 +236,7 @@ def build_array(s: int, t: int) -> CoreArray:
 
 def _box_sides(m: int, n: int) -> tuple[int, int]:
     """(m, n) as ints; ValueError unless both are integers of at least 1."""
-    # each round trip builds a path and often params (CoreParams inlines
-    # this too): one index() pair, and _integer only to name a failing side
-    try:
-        m, n = index(m), index(n)
-    except TypeError:
-        m, n = _integer("m", m), _integer("n", n)
+    m, n = _integer("m", m), _integer("n", n)
     if m < 1 or n < 1:
         raise ValueError(f"box dimensions must be positive, got {m}x{n}")
     return m, n

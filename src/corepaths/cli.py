@@ -242,7 +242,12 @@ def _run_sweep(args):
     if args.max < 3:
         raise ValueError(f"--max must be at least 3, as the least pair is (2, 3); got {args.max}")
     budget = _budget(args)
-    reports = [verify_pair(s, t, budget=budget) for s, t in coprime_pairs(args.max)]
+    pairs = coprime_pairs(args.max)
+    # every pair's path count, in pair order, before the first walk: the
+    # first pair over budget is refused at once, not after the pairs below it
+    for s, t in pairs:
+        check_budget("path", CoreParams(s, t).path_count, budget)
+    reports = [verify_pair(s, t, budget=budget) for s, t in pairs]
     return (0 if all(map(report_all_pass, reports)) else 1), reports
 
 

@@ -1,5 +1,5 @@
-"""Integer partitions: Ferrers geometry, first-column and diagonal hooks,
-self-conjugacy and containment.
+"""Integer partitions: Ferrers geometry, diagonal hooks, self-conjugacy and
+containment.
 
 Partitions are immutable values and every function here is pure, so all of
 this is safe to share freely between threads.
@@ -16,8 +16,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from operator import add, ge, index, le
+from collections.abc import Iterable
+from operator import ge, index, le
 
 # sets a field of a Value in its __init__, past the refusing __setattr__
 _set = object.__setattr__
@@ -100,9 +100,6 @@ class Partition(Value):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.rows)
-
     def _self_conjugate_hooks(self) -> tuple[int, ...] | None:
         """The diagonal hooks if the partition is self-conjugate, else None:
         each row j of the Durfee square is compared with its column count,
@@ -136,14 +133,6 @@ class Partition(Value):
     def contains(self, inner: "Partition") -> bool:
         """Containment order: every row of ``inner`` fits inside this one."""
         return len(inner.rows) <= len(self.rows) and all(map(ge, self.rows, inner.rows))
-
-    def first_column_hooks(self) -> list[int]:
-        """Hook lengths of the first-column cells, top to bottom.
-
-        These are ``rows[i] + len - i`` for 1-based i, a strictly decreasing
-        set that determines the partition.
-        """
-        return list(map(add, self.rows, range(len(self.rows) - 1, -1, -1)))
 
     def diagonal_hooks(self) -> tuple[int, ...]:
         """Hook lengths of the main diagonal cells, strictly decreasing.

@@ -3,12 +3,13 @@ that the package itself never calls: enumerations of every partition of a
 size, inside a shape or inside a box (exponential, small inputs only),
 the partition count up to a size by the coin-change loop,
 the below-count table kept whole, conjugation, cell-by-cell hook lengths,
-the all-cells t-core scan and the first-column t-core test, two independent
-characterisations (t-core-ness from diagonal hooks, core size from the
-array entries above a path), a path's hook set read off the built array by
-its definition, the closed-form average size, the containment sweep
-over every path's hook set, a path's step word read column by column, and
-the two oracle searches trying each candidate hook in turn.
+the first-column hooks, the all-cells t-core scan and the first-column
+t-core test, two independent characterisations (t-core-ness from diagonal
+hooks, core size from the array entries above a path), a path's hook set
+read off the built array by its definition, the closed-form average size,
+the containment sweep over every path's hook set, a path's step word read
+column by column, and the two oracle searches trying each candidate hook
+in turn.
 """
 
 from __future__ import annotations
@@ -152,6 +153,15 @@ def is_t_core_scan(p: Partition, t: int) -> bool:
     return t not in set(hook_lengths(p))
 
 
+def first_column_hooks(p: Partition) -> list[int]:
+    """Hook lengths of the first-column cells of ``p``, top to bottom.
+
+    These are ``rows[i] + len - i`` for 1-based i, a strictly decreasing
+    set that determines the partition.
+    """
+    return [r + len(p.rows) - i for i, r in enumerate(p.rows, start=1)]
+
+
 def is_t_core(p: Partition, t: int) -> bool:
     """True when no cell of ``p`` has hook length exactly ``t``, by the
     first-column hooks: a hook of length t exists in row i exactly when
@@ -160,7 +170,7 @@ def is_t_core(p: Partition, t: int) -> bool:
     partition of a size; checked against ``is_t_core_scan``."""
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
-    hooks = set(p.first_column_hooks())
+    hooks = set(first_column_hooks(p))
     return hooks.issuperset([b - t for b in hooks if b >= t])
 
 

@@ -336,6 +336,23 @@ def test_identities_and_sweep_refuse_bad_arguments(capsys, argv, err):
     assert run(capsys, *argv.split()) == (2, "", err)
 
 
+def test_sweep_refuses_an_over_budget_pair_before_the_first_walk(capsys, monkeypatch):
+    # (26, 27) has C(26, 13) = 10,400,600 paths, over the default budget:
+    # the refusal comes before any pair is verified
+    import corepaths.enumeration as enumeration
+
+    def never(*args, **kwargs):
+        raise AssertionError("verify_pair ran before the budget refusal")
+
+    monkeypatch.setattr(enumeration, "verify_pair", never)
+    assert run(capsys, "sweep", "--max", "27") == (
+        2,
+        "",
+        "error: enumeration needs 10400600 paths, over the budget of 10000000; "
+        "raise the budget to proceed\n",
+    )
+
+
 def test_bruteforce_sc(capsys):
     code, out, _ = run(capsys, "bruteforce", "--s", "3", "--t", "4")
     assert code == 0
@@ -954,6 +971,21 @@ CASES = [
         2,
         "",
         "error: step word may contain only U and R: 'RRX'\n",
+    ),
+    (
+        "map --s 8 --t 11 --path '{bad'",
+        2,
+        "",
+        (
+            "error: path object is not valid JSON: Expecting property name "
+            "enclosed in double quotes: line 1 column 2 (char 1)\n"
+        ),
+    ),
+    (
+        'map --s 8 --t 11 --path \'{"m":4,"n":5}\'',
+        2,
+        "",
+        'error: path object must have exactly the keys "m", "n", "mu"\n',
     ),
     (
         'map --s 8 --t 11 --path \'{"m":1,"n":1,"mu":[]}\'',

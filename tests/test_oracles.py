@@ -21,6 +21,7 @@ from corepaths.partitions import partition_from_diagonal_hooks
 
 from _reference import (
     core_search_by_candidates,
+    first_column_hooks,
     is_t_core,
     is_t_core_scan,
     iter_partitions,
@@ -150,7 +151,7 @@ def test_callers_filter_what_the_search_yields(monkeypatch):
     def noisy(s, t, *cap):
         for p in search(s, t, *cap):
             yield p
-            top = p.first_column_hooks()[0] if p.rows else 0
+            top = first_column_hooks(p)[0] if p.rows else 0
             for u in range(top + 1, top + s + t + 1):
                 # p's hook set plus u: one new top row of u - len(p) cells
                 q = Partition((u - len(p),) + p.rows)
@@ -540,6 +541,25 @@ def test_survey_partitions_small():
     assert sv.cores == 5
     assert sv.core_size_total == 0 + 1 + 2 + 2 + 5
     assert sv.outside_largest == 0
+
+
+def test_survey_counts_the_cores_outside_a_stand_in_largest_core(monkeypatch):
+    # every core lies inside the true largest core, so outside_largest is 0
+    # on every real survey; against a smaller stand-in it must move
+    import corepaths.oracles as oracles
+
+    stand_in = Partition((2, 1))
+    monkeypatch.setattr(oracles, "largest_core", lambda params: stand_in)
+    literal = [
+        Partition(rows)
+        for rows in iter_partitions_up_to(10)
+        if is_t_core(Partition(rows), 3) and is_t_core(Partition(rows), 4)
+    ]
+    outside = [p for p in literal if not stand_in.contains(p)]
+    assert outside == [Partition((3, 1, 1))]
+    sv = survey_partitions(3, 4, 10)
+    assert sv.cores == len(literal)
+    assert sv.outside_largest == len(outside) == 1
 
 
 def test_survey_matches_pure_enumeration():

@@ -12,6 +12,7 @@ from corepaths.partitions import (
 
 from _reference import (
     conjugate,
+    first_column_hooks,
     hook_length,
     hook_lengths,
     hook_set_is_t_core,
@@ -112,7 +113,7 @@ def test_hook_multiset_invariant_under_conjugation_up_to_20():
 def test_first_column_hooks_match_cells():
     for rows in iter_partitions_up_to(14):
         p = Partition(rows)
-        assert p.first_column_hooks() == [
+        assert first_column_hooks(p) == [
             hook_length(p, i, 1) for i in range(1, len(rows) + 1)
         ]
 
@@ -206,6 +207,15 @@ def test_from_diagonal_hooks_rejects_bad_sets():
         partition_from_diagonal_hooks({-1})
     with pytest.raises(ValueError):
         validate_hook_set({0})
+
+
+@pytest.mark.parametrize(
+    "hooks, shown", [(["1"], "['1']"), ([1.0], "[1.0]")], ids=["string", "float"]
+)
+def test_hook_set_must_be_integers(hooks, shown):
+    with pytest.raises(ValueError) as exc:
+        validate_hook_set(hooks)
+    assert str(exc.value) == f"diagonal hooks must be integers, got {shown}"
 
 
 def _self_conjugate_up_to(limit):

@@ -76,6 +76,24 @@ MUTANTS = {
         "    for h in hooks:\n",
         IMAGE_TESTS,
     ),
+    "drop the path-count check before the sweep's first walk": (
+        "src/corepaths/cli.py",
+        "    for s, t in pairs:\n        check_budget(\"path\", CoreParams(s, t).path_count, budget)\n",
+        "",
+        ["tests/test_cli.py"],
+    ),
+    "never count a core outside the largest in survey_partitions": (
+        "src/corepaths/oracles.py",
+        "                outside += 1\n",
+        "                pass\n",
+        ["tests/test_oracles.py"],
+    ),
+    "drop the integer conversion in _box_sides": (
+        BIJECTION,
+        '    m, n = _integer("m", m), _integer("n", n)\n',
+        "",
+        ["tests/test_bijection.py", "tests/test_enumeration.py"],
+    ),
 }
 
 

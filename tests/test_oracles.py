@@ -551,9 +551,7 @@ def test_survey_counts_the_cores_outside_a_stand_in_largest_core(monkeypatch):
     stand_in = Partition((2, 1))
     monkeypatch.setattr(oracles, "largest_core", lambda params: stand_in)
     literal = [
-        Partition(rows)
-        for rows in iter_partitions_up_to(10)
-        if is_t_core(Partition(rows), 3) and is_t_core(Partition(rows), 4)
+        p for p in map(Partition, iter_partitions_up_to(10)) if is_t_core(p, 3) and is_t_core(p, 4)
     ]
     outside = [p for p in literal if not stand_in.contains(p)]
     assert outside == [Partition((3, 1, 1))]

@@ -242,12 +242,12 @@ def _run_sweep(args):
     if args.max < 3:
         raise ValueError(f"--max must be at least 3, as the least pair is (2, 3); got {args.max}")
     budget = _budget(args)
-    pairs = coprime_pairs(args.max)
     # every pair's path count, in pair order, before the first walk: the
-    # first pair over budget is refused at once, not after the pairs below it
-    for s, t in pairs:
+    # first pair over budget is refused at once, not after the pairs below
+    # it, and the pairs are read lazily, so the refusal never lists the rest
+    for s, t in coprime_pairs(args.max):
         check_budget("path", CoreParams(s, t).path_count, budget)
-    reports = [verify_pair(s, t, budget=budget) for s, t in pairs]
+    reports = [verify_pair(s, t, budget=budget) for s, t in coprime_pairs(args.max)]
     return (0 if all(map(report_all_pass, reports)) else 1), reports
 
 

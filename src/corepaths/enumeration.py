@@ -70,14 +70,13 @@ def iter_paths(m: int, n: int) -> Iterator[LatticePath]:
         yield LatticePath(m, n, Partition(tuple(filter(None, reversed(rows)))))
 
 
-def coprime_pairs(limit: int) -> list[tuple[int, int]]:
-    """All coprime pairs 2 <= s < t <= limit."""
-    return [
-        (s, t)
-        for t in range(3, limit + 1)
-        for s in range(2, t)
-        if math.gcd(s, t) == 1
-    ]
+def coprime_pairs(limit: int) -> Iterator[tuple[int, int]]:
+    """Every coprime pair 2 <= s < t <= limit, by t and then s, one at a
+    time: a caller that stops early never holds the ~0.3 limit^2 pairs."""
+    for t in range(3, limit + 1):
+        for s in range(2, t):
+            if math.gcd(s, t) == 1:
+                yield s, t
 
 
 def _row_progressions(params: CoreParams) -> Iterator[tuple[int, int]]:

@@ -137,26 +137,31 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(corepaths, "iter_partitions")
 
 
-# each value class: its fields, and the repr a dataclass of them would give
+# each value class: its fields, the repr a dataclass of them would give,
+# and another valid value of each field
 VALUES = [
-    (Partition, {"rows": (4, 3, 3, 2)}, "Partition(rows=(4, 3, 3, 2))"),
-    (CoreParams, {"s": 8, "t": 11}, "CoreParams(s=8, t=11)"),
+    (Partition, {"rows": (4, 3, 3, 2)}, "Partition(rows=(4, 3, 3, 2))", {"rows": (3, 1)}),
+    (CoreParams, {"s": 8, "t": 11}, "CoreParams(s=8, t=11)", {"s": 9, "t": 13}),
     (
         LatticePath,
         {"m": 4, "n": 5, "mu": Partition((4, 3, 3, 2))},
         "LatticePath(m=4, n=5, mu=Partition(rows=(4, 3, 3, 2)))",
+        {"m": 5, "n": 6, "mu": Partition((1,))},
     ),
     (
         CoreStats,
         {"count": 126, "total_size": 7350, "max_size": 315, "max_multiplicity": 1},
         "CoreStats(count=126, total_size=7350, max_size=315, max_multiplicity=1)",
+        {"count": 127, "total_size": 7351, "max_size": 316, "max_multiplicity": 2},
     ),
     (
         PartitionSurvey,
         {"scanned": 3, "cores": 2, "core_size_total": 1, "outside_largest": 0, "visited": 1},
         "PartitionSurvey(scanned=3, cores=2, core_size_total=1, outside_largest=0, visited=1)",
+        {"scanned": 4, "cores": 3, "core_size_total": 2, "outside_largest": 1, "visited": 2},
     ),
-    # the repr leaves the entries out
+    # the repr leaves the entries out; the other values are the transposed
+    # array's, whose top-left entry is the same
     (
         CoreArray,
         {
@@ -169,18 +174,33 @@ VALUES = [
             ),
         },
         "CoreArray(params=CoreParams(s=8, t=11))",
+        {
+            "params": CoreParams(11, 8),
+            "entries": (
+                (69, 47, 25, 3),
+                (53, 31, 9, -13),
+                (37, 15, -7, -29),
+                (21, -1, -23, -45),
+                (5, -17, -39, -61),
+            ),
+        },
     ),
 ]
 
 
-@pytest.mark.parametrize("cls, fields, text", VALUES, ids=[v[0].__name__ for v in VALUES])
-def test_value_classes_compare_hash_and_print_by_field(cls, fields, text):
+@pytest.mark.parametrize("cls, fields, text, others", VALUES, ids=[v[0].__name__ for v in VALUES])
+def test_value_classes_compare_hash_and_print_by_field(cls, fields, text, others):
     a, b = cls(**fields), cls(*fields.values())
     assert a == b and hash(a) == hash(b)
     assert a != object() and not (a == object())
     assert repr(a) == text
     for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert copied == a and type(copied) is cls
+    # a copy differing in any one field alone compares unequal
+    assert others.keys() == fields.keys()
+    for name, other in others.items():
+        changed = cls(**{**fields, name: other})
+        assert changed != a and not (changed == a)
     for name, value in fields.items():
         assert getattr(a, name) == value
         with pytest.raises(AttributeError):

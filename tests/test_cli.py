@@ -344,13 +344,17 @@ def test_sweep_refuses_an_over_budget_pair_before_the_first_walk(capsys, monkeyp
     def never(*args, **kwargs):
         raise AssertionError("verify_pair ran before the budget refusal")
 
-    monkeypatch.setattr(enumeration, "verify_pair", never)
-    assert run(capsys, "sweep", "--max", "27") == (
-        2,
-        "",
+    refusal = (
         "error: enumeration needs 10400600 paths, over the budget of 10000000; "
-        "raise the budget to proceed\n",
+        "raise the budget to proceed\n"
     )
+    monkeypatch.setattr(enumeration, "verify_pair", never)
+    assert run(capsys, "sweep", "--max", "27") == (2, "", refusal)
+    # the pairs are read one at a time: --max 30000 has ~270 million of
+    # them, which a sweep listing them all first could not hold in 300 MB
+    proc = _main_under_memory_limit(["sweep", "--max", "30000"], limit=300 * 2**20)
+    assert (proc.returncode, proc.stderr) == (2, refusal)
+    assert float(proc.stdout) < 1.0
 
 
 def test_bruteforce_sc(capsys):
@@ -464,13 +468,13 @@ def test_closed_stdout_pipe_exits_141_without_traceback(limit):
     assert err == b""
 
 
-def _under_memory_limit(code, *argv):
-    """Run python ``code`` with ``argv`` in a child under a 1 GiB
-    address-space limit."""
+def _under_memory_limit(code, *argv, limit=2**30):
+    """Run python ``code`` with ``argv`` in a child under an address-space
+    limit of ``limit`` bytes, 1 GiB by default."""
     import resource
 
     def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
@@ -482,7 +486,7 @@ def _under_memory_limit(code, *argv):
     )
 
 
-def _main_under_memory_limit(argv):
+def _main_under_memory_limit(argv, limit=2**30):
     """Run ``main(argv)`` under ``_under_memory_limit``; its stdout is the
     seconds ``main`` took."""
     timed_main = (
@@ -493,7 +497,7 @@ def _main_under_memory_limit(argv):
         "print(time.perf_counter() - start)\n"
         "sys.exit(code)\n"
     )
-    return _under_memory_limit(timed_main, *argv)
+    return _under_memory_limit(timed_main, *argv, limit=limit)
 
 
 @pytest.mark.parametrize(

@@ -601,7 +601,7 @@ def test_largest_excess_agrees_with_the_sweep_on_path_images():
 
 
 def test_coprime_pairs():
-    pairs = coprime_pairs(6)
+    pairs = list(coprime_pairs(6))
     # ordered by t, then s
     assert pairs == [(2, 3), (3, 4), (2, 5), (3, 5), (4, 5), (5, 6)]
     assert all(gcd(s, t) == 1 and 2 <= s < t for s, t in pairs)

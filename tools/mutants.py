@@ -25,6 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ENUMERATION = "src/corepaths/enumeration.py"
 BIJECTION = "src/corepaths/bijection.py"
+CLI = "src/corepaths/cli.py"
 IMAGE_TESTS = ["tests/test_bijection.py", "tests/test_acceptance.py"]
 # name: (file, text, replacement, tests)
 MUTANTS = {
@@ -77,8 +78,9 @@ MUTANTS = {
         IMAGE_TESTS,
     ),
     "drop the path-count check before the sweep's first walk": (
-        "src/corepaths/cli.py",
-        "    for s, t in pairs:\n        check_budget(\"path\", CoreParams(s, t).path_count, budget)\n",
+        CLI,
+        "    for s, t in coprime_pairs(args.max):\n"
+        "        check_budget(\"path\", CoreParams(s, t).path_count, budget)\n",
         "",
         ["tests/test_cli.py"],
     ),
@@ -93,6 +95,18 @@ MUTANTS = {
         '    m, n = _integer("m", m), _integer("n", n)\n',
         "",
         ["tests/test_bijection.py", "tests/test_enumeration.py"],
+    ),
+    "ignore the last field of a value with more than three in its key": (
+        "src/corepaths/partitions.py",
+        "cls._key = attrgetter(*cls._fields)\n",
+        "cls._key = attrgetter(*(cls._fields[:-1] if len(cls._fields) > 3 else cls._fields))\n",
+        ["tests/test_api.py"],
+    ),
+    "list every pair before the sweep's budget check": (
+        CLI,
+        "    for s, t in coprime_pairs(args.max):\n        check_budget(",
+        "    for s, t in list(coprime_pairs(args.max)):\n        check_budget(",
+        ["tests/test_cli.py"],
     ),
 }
 

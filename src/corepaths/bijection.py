@@ -9,11 +9,12 @@ of cells lying ABOVE it (toward the top-left).  Cell (i, j) is above the
 path exactly when j <= mu_i.
 
 Everything here is a pure function over immutable values, and the module
-holds no cache.  A CoreParams keeps one private row table, built on first
-use and never changed: the rows' first entries, their positive counts and
-t^-1 mod s, which every round trip through its pair reads instead of
-working them out again.  CoreParams also counts the work each budgeted job
-does, for the one ``check_budget``.  No command builds the array itself:
+holds no cache.  A CoreParams states its rows' first entries once, and a
+path's hooks follow from the sign of each row's entry at its cut.  Only
+``path_from_core`` reads the one private row table a CoreParams builds on
+first use and keeps: each row's positive count and t^-1 mod s.
+CoreParams also counts the work each budgeted job does, for the one
+``check_budget``.  No command builds the array itself:
 ``build_array`` states its entries cell by cell, as the literal route the
 row arithmetic of ``_row_hooks`` is checked against.
 """
@@ -112,8 +113,10 @@ def check_listing(params: CoreParams, cores: int = 1) -> None:
 class CoreParams(Value):
     """A coprime pair (s, t) with the derived box dimensions m, n.
 
-    ``_rows`` caches the row table of ``_row_table``; as a private slot it
-    is no field, so it takes no part in equality, hash, repr or pickling.
+    A path's hooks are read from the sign of each row's entry at its cut,
+    the rows given by their first entries.  ``_rows`` caches the row table
+    that ``path_from_core`` alone reads; as a private slot it is no field,
+    so it takes no part in equality, hash, repr or pickling.
     """
 
     __slots__ = ("s", "t", "_rows")
@@ -147,18 +150,18 @@ class CoreParams(Value):
         a11 = self.s * self.t - self.s - self.t
         return range(a11, a11 - self.m * 2 * self.t, -2 * self.t)
 
-    def _row_table(self) -> tuple[range, tuple[int, ...], int]:
-        """``_row_firsts``; each row's positive count ceil(e/2s) for its
-        first entry e; and t^-1 mod s.  Built on the first call and kept:
-        O(m) ints, held only as long as these params.  Threads racing to
-        build it build equal tables, so either one's may stay."""
+    def _row_table(self) -> tuple[tuple[int, ...], int]:
+        """Each row's positive count, the number of hooks it carries cut
+        at 0, and t^-1 mod s: the numbers ``path_from_core``, its one
+        reader, starts from.  Built on the first call and kept: O(m) ints,
+        held only as long as these params.  Threads racing to build it
+        build equal tables, so either one's may stay."""
         try:
             return self._rows
         except AttributeError:
             pass
         s2 = 2 * self.s
-        firsts = self._row_firsts
-        table = firsts, tuple([(e + s2 - 1) // s2 for e in firsts]), pow(self.t, -1, self.s)
+        table = tuple([len(range(e, 0, -s2)) for e in self._row_firsts]), pow(self.t, -1, self.s)
         _set(self, "_rows", table)
         return table
 
@@ -297,20 +300,21 @@ def _row_hooks(params: CoreParams, cuts) -> list[int]:
     ``cuts`` has one entry per row.
 
     Row i runs e, e - 2s, ..., from its first entry e in
-    ``CoreParams._row_firsts``, falling from positive to negative, so its
-    first p = ceil(e/2s) entries are its positives; t - s <= e <= st - s - t
-    puts p in [0, n] unclamped.  Both e and p come from the params' row
-    table.  Cut at k, the row carries its positives from k on, or the
-    |negatives| left of k: one progression of step 2s either way.
+    ``CoreParams._row_firsts``, and the entry right of a cut at k is
+    d = e - 2sk, which is odd, so never 0 or -2s.  For d > 0 the row
+    carries its positives from column k on, d, d - 2s, ...; for d < -2s,
+    the |negatives| left of the cut, -2s - d, -4s - d, ...; otherwise none.
+    Either is one progression of step 2s down to 0, and it stays in the
+    row, as e - 2sn < 0 < e + 2s.
     """
     s2 = 2 * params.s
-    firsts, positives, _ = params._row_table()
     hooks = []
-    for k, e, p in zip(cuts, firsts, positives, strict=True):
-        if k < p:
-            hooks += range(e - s2 * k, e - s2 * p, -s2)
-        elif k > p:
-            hooks += range(s2 * p - e, s2 * k - e, s2)
+    for k, e in zip(cuts, params._row_firsts, strict=True):
+        d = e - s2 * k
+        if d > 0:
+            hooks += range(d, 0, -s2)
+        elif d < -s2:
+            hooks += range(-s2 - d, 0, -s2)
     hooks.sort(reverse=True)
     return hooks
 
@@ -377,7 +381,7 @@ def path_from_core(p: Partition, params: CoreParams) -> LatticePath:
             f"not in the bijection image: {p} is not self-conjugate"
         ) from None
     s, t = params.s, params.t
-    _, positives, t_inv = params._row_table()
+    positives, t_inv = params._row_table()
     cuts = list(positives)
     edges = list(positives)
     for h in reversed(hooks):

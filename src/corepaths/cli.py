@@ -25,6 +25,7 @@ import shutil
 import sys
 
 from .bijection import (
+    _MAX_CELLS,
     DEFAULT_ORACLE_BUDGET,
     DEFAULT_PATH_BUDGET,
     CoreParams,
@@ -271,6 +272,13 @@ def _run_identities(args):
         raise ValueError(f"--max must be at least 1, got {args.max}")
     else:
         _check_box(args.max, args.max)  # the largest box, before the first
+        # then every box's m*n cells, summed: (max(max+1)/2)**2
+        cells = (args.max * (args.max + 1) // 2) ** 2
+        if cells > _MAX_CELLS:
+            raise ValueError(
+                f"the m, n <= {args.max} sweep has {cells} table cells in all, "
+                f"over the supported maximum of 10**6"
+            )
         boxes = [(m, n) for m in range(1, args.max + 1) for n in range(1, args.max + 1)]
     reports = [identity_report(m, n) for m, n in boxes]
     ok = all(r[key] for r in reports for key in _IDENTITY_CHECKS)

@@ -22,7 +22,7 @@ from corepaths import (
     path_hook_set,
 )
 from corepaths import bijection
-from corepaths.enumeration import coprime_pairs
+from corepaths.enumeration import _largest_excess, coprime_pairs
 from corepaths.partitions import partition_from_diagonal_hooks
 
 from _reference import (
@@ -485,14 +485,20 @@ def test_row_table_is_a_private_cache_of_the_params():
         assert copied == fresh and hash(copied) == hash(fresh)
     with pytest.raises(AttributeError):
         used._rows = None
+    # path_from_core is the one reader of the table
+    core_from_path(LatticePath(fresh.m, fresh.n), fresh)
+    _largest_excess(fresh, bijection.largest_hooks(fresh))
+    assert not hasattr(fresh, "_rows")
+    path_from_core(largest_core(fresh), fresh)
+    assert hasattr(fresh, "_rows")
 
 
 def test_row_table_holds_the_first_column_and_the_positive_counts():
     for s, t in coprime_pairs(15):
         for params in (CoreParams(s, t), CoreParams(t, s)):
             arr = build_array(params.s, params.t)
-            firsts, positives, t_inv = params._row_table()
-            assert list(firsts) == [row[0] for row in arr.entries]
+            positives, t_inv = params._row_table()
+            assert list(params._row_firsts) == [row[0] for row in arr.entries]
             assert list(positives) == [sum(e > 0 for e in row) for row in arr.entries]
             assert t_inv * params.t % params.s == 1
 

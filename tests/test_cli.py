@@ -563,6 +563,10 @@ _ALL_LISTING = "100000 cores of up to 99999 rows each bound the listing at 99999
         # the sweep's largest box, checked before its first box
         ("identities --max 1001",
          "m*n = 1002001 table cells is over the supported maximum of 10**6"),
+        # every box of the sweep within the cap, but (45*46/2)**2 cells in all
+        ("identities --max 45",
+         "the m, n <= 45 sweep has 1071225 table cells in all, over the supported "
+         "maximum of 10**6"),
         ("verify --s 46341 --t 46343",
          "s*t = 2147580963 is over the supported maximum of 2**31"),
         # the last twin pair under the s*t cap: its exact path count, which
@@ -572,7 +576,7 @@ _ALL_LISTING = "100000 cores of up to 99999 rows each bound the listing at 99999
          "of 10000000; raise the budget to proceed"),
     ],
     ids=["bruteforce", "enumerate", "bruteforce-all", "identities", "identities-max",
-         "verify-st", "verify-st-edge"],
+         "identities-max-cells", "verify-st", "verify-st-edge"],
 )
 def test_jobs_over_a_size_bound_are_refused_at_once(argv, err):
     # refused before any core is listed or any table allocated, under an
@@ -592,6 +596,23 @@ def test_identities_refuses_one_cell_over_before_any_table(capsys, monkeypatch):
     monkeypatch.setattr(identities, "_below_rows", allocated)
     err = "error: m*n = 1001000 table cells is over the supported maximum of 10**6\n"
     assert run(capsys, "identities", "--m", "1001", "--n", "1000") == (2, "", err)
+
+
+def test_identities_sweep_at_the_cell_cap_reaches_its_first_box(monkeypatch):
+    # (44*45/2)**2 = 980,100 cells in all: admitted, so its first box, (1, 1),
+    # makes rows
+    import corepaths.identities as identities
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached(args)
+
+    monkeypatch.setattr(identities, "_below_rows", reached)
+    with pytest.raises(Reached) as err:
+        main(["identities", "--max", "44"])
+    assert err.value.args == ((1, 1),)
 
 
 def test_verify_refuses_one_cell_over_before_the_walk(capsys, monkeypatch):

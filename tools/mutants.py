@@ -108,6 +108,28 @@ MUTANTS = {
         "    for s, t in list(coprime_pairs(args.max)):\n        check_budget(",
         ["tests/test_cli.py"],
     ),
+    "start the positives one column right of the cut in _row_hooks": (
+        BIJECTION,
+        "            hooks += range(d, 0, -s2)\n",
+        "            hooks += range(d - s2, 0, -s2)\n",
+        IMAGE_TESTS,
+    ),
+    "start the |negatives| at the entry right of the cut in _row_hooks": (
+        BIJECTION,
+        "            hooks += range(-s2 - d, 0, -s2)\n",
+        "            hooks += range(-d, 0, -s2)\n",
+        IMAGE_TESTS,
+    ),
+    "drop the identities sweep's cell cap": (
+        CLI,
+        "        if cells > _MAX_CELLS:\n"
+        "            raise ValueError(\n"
+        "                f\"the m, n <= {args.max} sweep has {cells} table cells in all, \"\n"
+        "                f\"over the supported maximum of 10**6\"\n"
+        "            )\n",
+        "",
+        ["tests/test_cli.py"],
+    ),
 }
 
 
